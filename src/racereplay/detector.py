@@ -12,6 +12,17 @@ the componentwise minimum over all threads' live clocks, and any stored
 segment whose clock is strictly below it in every component can never be
 concurrent with anything later.
 
+Each thread's stored segments are kept in a list in index order. Every
+sync op bumps the thread's own clock component, so along that list the
+clocks are componentwise non-decreasing and the own components strictly
+increase. That order does the work of both steps: the stored segments of
+a thread that precede a closing segment form a prefix found by one bisect
+on the own component (the epoch argument of FastTrack, Flanagan & Freund,
+PLDI 2009), and the segments below a horizon form a prefix popped from the
+head. A close costs one bisect per other thread plus one exact comparison
+per concurrent segment; a discard costs one test per dropped segment plus
+one per thread.
+
 With ``probe=True`` a second, causally-propagated matrix-clock horizon is
 tracked side by side and the live segment counts under both discard
 policies are sampled at every segment close.
@@ -19,6 +30,7 @@ policies are sampled at every segment close.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -54,6 +66,11 @@ class Segment:
     @property
     def key(self):
         return (self.tid, self.index)
+
+
+def _epoch(seg: Segment) -> int:
+    """The segment's own clock component; strictly increasing per thread."""
+    return seg.clock[seg.tid]
 
 
 @dataclass(frozen=True)
@@ -135,9 +152,9 @@ class _DetectorState:
         self.matrix = MatrixClockTracker(n, program.n_objects) if probe else None
         self.open: list[Optional[Segment]] = [None] * n
         self.closed_count = [0] * n
-        # stored[tid] maps segment index -> Segment, insertion == index order.
-        self.stored = [dict() for _ in range(n)]
-        self.ghosts = [dict() for _ in range(n)] if probe else None
+        # stored[tid] lists the thread's live segments in index order.
+        self.stored = [[] for _ in range(n)]
+        self.ghosts = [[] for _ in range(n)] if probe else None
         self.reports: list[RaceReport] = []
         self.stats = DetectStats()
         self.probe_rows: list[tuple] = []
@@ -182,20 +199,39 @@ class _DetectorState:
         if self.all_segments is not None:
             self.all_segments.append(seg)
         found = self._scan_for_races(seg)
-        self.stored[tid][seg.index] = seg
+        self.stored[tid].append(seg)
         if self.ghosts is not None:
-            self.ghosts[tid][seg.index] = seg
+            self.ghosts[tid].append(seg)
         self.stats.segments_created += 1
         self._note_live()
         return found
 
     def _scan_for_races(self, seg: Segment) -> bool:
-        """Compare against stored segments in ascending (tid, index) order."""
-        for tid in range(self.program.n_threads):
+        """Compare against the concurrent stored segments in ascending
+        (tid, index) order.
+
+        Let ``other`` be a stored segment of thread ``u``; it closed before
+        ``seg``, and ``other.clock`` is ``u``'s clock at the sync op that
+        closed it. Every sync op bumps ``u``'s own component, so a clock
+        of ``u`` with own component ``k = other.clock[u]`` or more is
+        only released at or after that op, and it dominates
+        ``other.clock``. If ``k <= seg.clock[u]``, ``seg``'s thread has
+        joined such a clock, so ``other.clock <= seg.clock``: the two are
+        ordered and cannot race. (An own component of 0 occurs only in the
+        main thread's first segment, and every other thread starts by
+        acquiring a clock its creator released after that segment.) Own
+        components strictly increase along ``stored[u]``, so the ordered
+        segments found this way are the prefix that ``bisect_right``
+        skips. The suffix gets the exact concurrency test before its
+        bitmaps are intersected.
+        """
+        clock = seg.clock
+        for tid, stored in enumerate(self.stored):
             if tid == seg.tid:
                 continue  # same-thread segments are always ordered
-            for other in self.stored[tid].values():
-                if vc_compare(other.clock, seg.clock) is not Ordering.CONCURRENT:
+            start = bisect_right(stored, clock[tid], key=_epoch)
+            for other in stored[start:]:
+                if vc_compare(other.clock, clock) is not Ordering.CONCURRENT:
                     continue
                 self.stats.segments_compared += 1
                 witnesses = race_witnesses(seg.loads, seg.stores,
@@ -221,15 +257,25 @@ class _DetectorState:
                                     self._live(self.ghosts)))
 
     def _drop_below(self, store, horizon) -> int:
+        """Pop each thread's stored segments strictly below ``horizon``.
+
+        A thread's clocks never decrease from one segment to the next, so
+        if a segment is strictly below the horizon, so is every earlier
+        segment of that thread: the segments to drop are always a prefix
+        of the list, and the scan of each thread stops at the first
+        segment that stays.
+        """
         dropped = 0
         for per_thread in store:
-            dead = [idx for idx, seg in per_thread.items()
-                    if vc_strictly_below(seg.clock, horizon)]
-            for idx in dead:
-                seg = per_thread.pop(idx)
-                dropped += 1
-                if self.keep_discarded and store is self.stored:
-                    self.discarded.append((self.stats.sync_events, seg))
+            dead = 0
+            while dead < len(per_thread) and \
+                    vc_strictly_below(per_thread[dead].clock, horizon):
+                dead += 1
+            if self.keep_discarded and store is self.stored:
+                self.discarded.extend((self.stats.sync_events, seg)
+                                      for seg in per_thread[:dead])
+            del per_thread[:dead]
+            dropped += dead
         return dropped
 
     @staticmethod

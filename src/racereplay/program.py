@@ -93,7 +93,12 @@ class Program:
         return "\n".join(out) + "\n"
 
     def digest(self) -> bytes:
-        return hashlib.sha256(self.canonical_text().encode()).digest()
+        """SHA-256 of the canonical text, computed once per program."""
+        cached = self.__dict__.get("_digest")
+        if cached is None:
+            cached = hashlib.sha256(self.canonical_text().encode()).digest()
+            object.__setattr__(self, "_digest", cached)
+        return cached
 
 
 def render_instruction(program: Program, ins: Instruction) -> str:

@@ -1,0 +1,20 @@
+"""The benchmark in perfbench/ keeps running against the package."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_forkjoin_traced_round():
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "forkjoin",
+         "--seed", "1", "--seconds", "0", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    assert result["metrics"]["detector.scan_useful_ratio"]["value"] == 1.0

@@ -1,7 +1,10 @@
 """Detection: first-race semantics, oracle equivalence, discard safety."""
 
+from itertools import combinations
+
 from _helpers import replay_events
 
+import racereplay.detector as detector_mod
 from racereplay import workloads
 from racereplay.clocks import Ordering, vc_compare
 from racereplay.detector import CLEAN, DIVERGED_NO_RACE, RACE, detect
@@ -194,3 +197,61 @@ def test_stats_track_table_shape():
     assert st.segments_discarded > 0
     assert st.mem_events == sum(1 for e in rec.events
                                 if e.kind.name in ("LOAD", "STORE"))
+
+
+def _epoch_programs():
+    for i, text in enumerate(_corpus(40, 60_000)):
+        yield text, i
+    yield workloads.contended_counter(4, 60), 3
+    yield workloads.ping_pong(80, slack=2), 1
+    yield workloads.producer_consumer(120, 4), 1
+    yield generate_program(7, threads=16, ops_per_thread=60,
+                           lock_density=1.0), 7
+
+
+def test_epoch_lemma_and_per_thread_prefix_order():
+    # The scan skips, per other thread u, the stored segments whose own
+    # component is at most the closing segment's view of u; the discard
+    # pops prefixes. Both rest on the facts checked here.
+    checked = 0
+    for text, seed in _epoch_programs():
+        prog = parse_program(text)
+        rec = record_execution(prog, seed)
+        result = detect(prog, rec.trace, keep_segments=True, all_races=True)
+        segments = result.segments
+        for a, b in combinations(segments, 2):  # a closed before b
+            if a.tid == b.tid:
+                assert all(x <= y for x, y in zip(a.clock, b.clock))
+                assert a.clock[a.tid] < b.clock[a.tid]
+                continue
+            order = vc_compare(a.clock, b.clock)
+            assert order in (Ordering.BEFORE, Ordering.CONCURRENT)
+            assert (order is Ordering.CONCURRENT) == \
+                (a.clock[a.tid] > b.clock[a.tid]), (a.key, b.key)
+            checked += 1
+    assert checked > 10_000
+
+
+def _counting(monkeypatch, name):
+    calls = [0]
+    real = getattr(detector_mod, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(detector_mod, name, counted)
+    return calls
+
+
+def test_scan_and_discard_work_bound(monkeypatch):
+    # Only concurrent segments are compared, and each thread's discard
+    # stops at the first segment that stays.
+    compares = _counting(monkeypatch, "vc_compare")
+    below = _counting(monkeypatch, "vc_strictly_below")
+    prog = parse_program(generate_program(3, threads=16, ops_per_thread=200))
+    rec = record_execution(prog, 1)
+    st = detect(prog, rec.trace, all_races=True).stats
+    assert st.segments_compared > 0
+    assert compares[0] == st.segments_compared
+    assert below[0] <= st.sync_events * prog.n_threads + st.segments_discarded
