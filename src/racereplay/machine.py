@@ -12,6 +12,17 @@ thread is scheduled it performs a START handshake on its creation object
 before executing instruction 0. EXIT performs the matching handshake on
 the thread's exit object, but only for threads some JOIN targets;
 untargeted exits (typically main's) emit no event.
+
+The runnable list is kept from one step to the next. It is recomputed over
+all threads only after a gate step: a START, a sync op or an EXIT. After a
+plain step (LOAD, STORE, ADDI, SET) only the stepping thread is re-checked,
+and only if its next op is now a gate op; otherwise the list is reused as
+is. This is exact: a plain step changes only memory, registers and the
+stepping thread's pc, while blocking depends only on mutex owners,
+semaphore counts and thread status, which only gate steps change. A plain
+op never blocks, and the hooks contract (``ExecutionHooks.permits``) lets
+an answer change only at the same points. So the list, and hence the
+draw, is the one a full recomputation would give at every step.
 """
 
 from __future__ import annotations
@@ -57,6 +68,9 @@ class SyncKind(IntEnum):
 ACQUIRE_KINDS = frozenset((SyncKind.LOCK, SyncKind.SEM_WAIT, SyncKind.JOIN, SyncKind.START))
 RELEASE_KINDS = frozenset((SyncKind.UNLOCK, SyncKind.SEM_POST, SyncKind.CREATE, SyncKind.EXIT))
 
+# Ops that never block and change no state another thread's runnability reads.
+_PLAIN_OPS = frozenset((Op.LOAD, Op.STORE, Op.ADDI, Op.SET))
+
 _OP_SYNC = {
     Op.LOCK: SyncKind.LOCK,
     Op.UNLOCK: SyncKind.UNLOCK,
@@ -81,6 +95,14 @@ class ExecutionHooks:
     """Observer/veto interface; the default implementation does nothing."""
 
     def permits(self, machine: "Machine", tid: int) -> bool:
+        """Whether the thread, which can otherwise run, may take its next step.
+
+        The machine caches the answer. It asks again for every thread after
+        a step that was a START, a sync op or an EXIT, and for the stepping
+        thread after a plain step that leaves it before a sync op or EXIT.
+        So the answer may change only at those points: it may depend on the
+        thread's next op and on state that only those steps change.
+        """
         return True
 
     def on_event(self, machine: "Machine", event: Event):
@@ -145,6 +167,27 @@ class Machine:
 
     # -- scheduling ----------------------------------------------------------
 
+    def _can_run(self, tid: int) -> bool:
+        """Whether a READY thread's next op can complete now and the hooks permit it."""
+        if not self.needs_start[tid]:
+            ins = self.program.threads[tid][self.pc[tid]]
+            op = ins.op
+            if op is Op.LOCK:
+                if self.mutex_owner[ins.a] is not None:
+                    return False
+            elif op is Op.SEM_WAIT:
+                if self.sem_count[ins.a] <= 0:
+                    return False
+            elif op is Op.JOIN:
+                if self.status[ins.a] is not _Status.EXITED:
+                    return False
+        return self.hooks is None or self.hooks.permits(self, tid)
+
+    def _runnable(self):
+        status = self.status
+        return [tid for tid in range(self.program.n_threads)
+                if status[tid] is _Status.READY and self._can_run(tid)]
+
     def _block_reason(self, tid: int):
         """None if the thread's next op can complete now, else a reason string."""
         if self.needs_start[tid]:
@@ -162,18 +205,6 @@ class Machine:
             if self.status[ins.a] is not _Status.EXITED:
                 return f"joining thread {ins.a} (not exited)"
         return None
-
-    def _runnable(self):
-        out = []
-        for tid in range(self.program.n_threads):
-            if self.status[tid] is not _Status.READY:
-                continue
-            if self._block_reason(tid) is not None:
-                continue
-            if self.hooks is not None and not self.hooks.permits(self, tid):
-                continue
-            out.append(tid)
-        return out
 
     def _blocked_report(self):
         blocked = []
@@ -261,17 +292,25 @@ class Machine:
         return self._emit(tid, EventKind.SYNC, ordinal=pc, obj=obj, sync=sync)
 
     def run(self) -> RunResult:
-        status = self.status
-        while any(s is not _Status.EXITED for s in status):
-            runnable = self._runnable()
+        threads, pc, needs_start = self.program.threads, self.pc, self.needs_start
+        live = sum(s is not _Status.EXITED for s in self.status)
+        runnable = self._runnable()
+        while live:
             if not runnable:
                 raise DeadlockError(self._blocked_report(), self.events,
                                     self.memory, self.steps)
             self._rng, draw = splitmix64(self._rng)
             tid = runnable[draw % len(runnable)]
             self.steps += 1
+            plain = not needs_start[tid] and threads[tid][pc[tid]].op in _PLAIN_OPS
             if self._step(tid):
                 return RunResult(self.memory, self.events, self.steps, stopped=True)
+            if not plain:
+                if self.status[tid] is _Status.EXITED:
+                    live -= 1
+                runnable = self._runnable()
+            elif threads[tid][pc[tid]].op not in _PLAIN_OPS and not self._can_run(tid):
+                runnable.remove(tid)
         return RunResult(self.memory, self.events, self.steps)
 
 

@@ -303,5 +303,10 @@ def parse_program(text: str, name: str = "<program>") -> Program:
 
 
 def load_program(path: str) -> Program:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_program(fh.read(), name=path)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})")
+    return parse_program(text, name=path)

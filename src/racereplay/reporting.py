@@ -66,11 +66,11 @@ def parse_report_record(text: str) -> RaceReport:
         witnesses = tuple(int(w, 16) for w in fields["witnesses"].split(","))
         side1 = _parse_side(fields["t1"])
         side2 = _parse_side(fields["t2"])
+        instructions = None
+        if "i1" in fields and "i2" in fields:
+            instructions = (_parse_site(fields["i1"]), _parse_site(fields["i2"]))
     except (KeyError, ValueError, IndexError) as exc:
         raise RaceReplayError(f"malformed report record: {exc}")
-    instructions = None
-    if "i1" in fields and "i2" in fields:
-        instructions = (_parse_site(fields["i1"]), _parse_site(fields["i2"]))
     return RaceReport(witnesses=witnesses, side1=side1, side2=side2,
                       instructions=instructions)
 

@@ -7,6 +7,7 @@ import pytest
 
 from racereplay import workloads
 from racereplay.cli import main
+from racereplay.errors import RaceReplayError
 from racereplay.reporting import parse_report_record
 
 
@@ -58,6 +59,32 @@ def test_malformed_program_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "undeclared sync object" in err
 
+
+def test_non_utf8_program_usage_error(tmp_path, capsys):
+    path = tmp_path / "bin.prog"
+    path.write_bytes(b"thread 0:\n  EXIT \xff\n")
+    assert main(["record", str(path)]) == 1
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+GARBLED_SITE_REPORT = ("witness=0x00001000\nwitnesses=0x00001000\n"
+                       "t1=1 seg=1 kind=store clock=1,2,0\n"
+                       "t2=2 seg=1 kind=store clock=1,0,2\n"
+                       "i1=garbage\ni2=2:2 store\n")
+
+
+def test_report_with_garbled_site_is_domain_error():
+    with pytest.raises(RaceReplayError, match="malformed report record"):
+        parse_report_record(GARBLED_SITE_REPORT)
+
+
+def test_identify_garbled_report_usage_error(racy, tmp_path, capsys):
+    trace = str(tmp_path / "g.trace")
+    report = tmp_path / "g.report"
+    report.write_text(GARBLED_SITE_REPORT)
+    assert main(["record", racy, "--seed", "8", "-o", trace]) == 0
+    assert main(["identify", racy, "--trace", trace, "--report", str(report)]) == 1
+    assert "malformed report record" in capsys.readouterr().err
 
 def test_record_then_replay_exit_codes(clean, tmp_path, capsys):
     trace = str(tmp_path / "c.trace")

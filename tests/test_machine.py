@@ -4,7 +4,8 @@ import pytest
 
 from racereplay import workloads
 from racereplay.errors import DeadlockError, MachineError
-from racereplay.machine import (EventKind, SyncKind, run, splitmix64)
+from racereplay.machine import (EventKind, ExecutionHooks, SyncKind, run,
+                                splitmix64)
 from racereplay.program import parse_program
 
 
@@ -162,3 +163,36 @@ def test_exit_event_only_for_join_targets():
     exits = [e.tid for e in res.events
              if e.kind is EventKind.SYNC and e.sync == SyncKind.EXIT]
     assert exits == [1]
+
+
+class CountingHooks(ExecutionHooks):
+    def __init__(self):
+        self.permits_calls = 0
+
+    def permits(self, machine, tid):
+        self.permits_calls += 1
+        return True
+
+
+def test_scheduler_rechecks_threads_only_at_sync_points():
+    # Main forks 8 workers that each make 500 memory ops, then joins them.
+    # The runnable set is recomputed only after sync and EXIT steps, plus
+    # one re-check of a thread whose next op has just become a sync op.
+    workers = 8
+    lines = ["thread 0:"]
+    lines += [f"  CREATE {t}" for t in range(1, workers + 1)]
+    lines += [f"  JOIN {t}" for t in range(1, workers + 1)]
+    lines += ["  EXIT"]
+    for t in range(1, workers + 1):
+        addr = f"0x{0x1000 + 4 * t:08X}"
+        lines.append(f"thread {t}:")
+        lines += [f"  LOAD r0 {addr}\n  STORE r0 {addr}"] * 250
+        lines.append("  EXIT")
+    prog = parse_program("\n".join(lines) + "\n")
+    hooks = CountingHooks()
+    res = run(prog, 5, hooks)
+    n = prog.n_threads
+    syncs = sum(1 for e in res.events if e.kind is EventKind.SYNC)
+    exits = n
+    assert res.steps == workers * 500 + syncs + 1  # main's EXIT emits no event
+    assert hooks.permits_calls <= n * (syncs + exits + 1) + syncs + exits
