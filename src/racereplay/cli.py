@@ -138,8 +138,14 @@ def cmd_detect(args) -> int:
 def cmd_identify(args) -> int:
     program = load_program(args.program)
     trace = SyncTrace.read(args.trace)
-    with open(args.report, "r", encoding="utf-8") as fh:
-        report = parse_report_record(fh.read())
+    with open(args.report, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise RaceReplayError(
+            f"{args.report}: not UTF-8 text (byte {exc.start})")
+    report = parse_report_record(text)
     sites = identify(program, trace, report, replay_seed=args.replay_seed)
     report.instructions = sites
     _write_lines(args.report, report_record_lines(report))
@@ -294,10 +300,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except RaceReplayError as exc:
+    except (OSError, RaceReplayError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -7,10 +7,9 @@ in two multilevel bitmaps. When a sync op closes a segment it is compared
 against every stored segment whose vector clock is concurrent with it;
 a non-empty conflict-witness set is a data race and, unless asked for all
 races, ends the run. The closed segment is then stored and obsolete
-segments are discarded: after the sync op's clock update, the horizon is
-the componentwise minimum over all threads' live clocks, and any stored
-segment whose clock is strictly below it in every component can never be
-concurrent with anything later.
+segments are discarded: the horizon is the componentwise minimum over all
+threads' live clocks, and any stored segment whose clock is strictly below
+it in every component can never be concurrent with anything later.
 
 Each thread's stored segments are kept in a list in index order. Every
 sync op bumps the thread's own clock component, so along that list the
@@ -20,8 +19,14 @@ a thread that precede a closing segment form a prefix found by one bisect
 on the own component (the epoch argument of FastTrack, Flanagan & Freund,
 PLDI 2009), and the segments below a horizon form a prefix popped from the
 head. A close costs one bisect per other thread plus one exact comparison
-per concurrent segment; a discard costs one test per dropped segment plus
-one per thread.
+per concurrent segment.
+
+The horizon is kept from one sync op to the next. A sync op changes only
+the syncing thread's clock, and clocks never decrease, so a column's
+minimum can move only where that thread held it and its value rose. A
+sync op therefore costs one O(n) check; the horizon is recomputed only
+when the check fires, and the list heads are re-tested only when the
+horizon rises, at one test per dropped segment plus one per thread.
 
 With ``probe=True`` a second, causally-propagated matrix-clock horizon is
 tracked side by side and the live segment counts under both discard
@@ -149,6 +154,8 @@ class _DetectorState:
         self.keep_discarded = keep_discarded
         self.all_segments: Optional[list] = [] if keep_segments else None
         self.clocks = VectorClockTracker(n, program.n_objects)
+        # The snooped horizon: column_min of self.clocks.threads, kept exact.
+        self.horizon = (0,) * n
         self.matrix = MatrixClockTracker(n, program.n_objects) if probe else None
         self.open: list[Optional[Segment]] = [None] * n
         self.closed_count = [0] * n
@@ -180,12 +187,13 @@ class _DetectorState:
         tid = event.tid
         race_found = self._close_open_segment(tid)
         # Clock updates happen at the sync op itself, after the segment ends.
-        self.clocks.apply_sync(tid, event.obj, event.sync in ACQUIRE_KINDS)
+        before = self.clocks.apply_sync(tid, event.obj,
+                                        event.sync in ACQUIRE_KINDS)
         if self.matrix is not None:
             self.matrix.apply_sync(tid, event.obj, event.sync in ACQUIRE_KINDS,
                                    self.clocks.threads[tid])
         if self.gc or self.probe:
-            self._collect_garbage(tid)
+            self._collect_garbage(tid, before)
         return race_found and not self.all_races
 
     def _close_open_segment(self, tid: int) -> bool:
@@ -244,16 +252,43 @@ class _DetectorState:
 
     # -- discard ----------------------------------------------------------------
 
-    def _collect_garbage(self, closing_tid: int):
+    def _collect_garbage(self, closing_tid: int, before: tuple):
+        """Advance the snooped horizon past a sync op of ``closing_tid``
+        and discard the stored segments strictly below it.
+
+        ``before`` is the thread's clock before the op. The op changed
+        only that thread's row of the snapshot, and rows never decrease.
+        So a column whose minimum ``before`` did not hold, or whose value
+        did not rise, keeps its minimum in some unchanged row: unless a
+        column passes both tests, the horizon stays exactly as it was, and
+        ``column_min`` is called only when one does.
+
+        If the horizon did not rise, no head can be below it. The only
+        segment the op can have stored is the one it closed, whose clock
+        is ``before``; that was a row of the snapshot the horizon is the
+        minimum of, so the horizon is at most ``before`` in every
+        component. Every other head either stayed when the horizon last
+        rose or was stored since then, by this same argument. Heads are
+        thus re-tested only when the horizon rises.
+
+        The probe's logical horizon is the closing thread's own matrix
+        minimum, a different horizon from one op to the next, so it keeps
+        its pass over every thread's list at every sync op.
+        """
         if self.gc:
-            horizon = column_min(self.clocks.snapshot())
-            dropped = self._drop_below(self.stored, horizon)
-            self.stats.segments_discarded += dropped
+            after = self.clocks.threads[closing_tid]
+            if any(b == h and a > b
+                   for a, b, h in zip(after, before, self.horizon)):
+                horizon = column_min(self.clocks.snapshot())
+                if horizon != self.horizon:
+                    self.horizon = horizon
+                    self.stats.segments_discarded += self._drop_below(
+                        self.stored, horizon)
         if self.probe:
             logical = self.matrix.horizon(closing_tid)
             self._drop_below(self.ghosts, logical)
             self.probe_rows.append((self.stats.sync_events,
-                                    self._live(self.stored),
+                                    self._live_stored(),
                                     self._live(self.ghosts)))
 
     def _drop_below(self, store, horizon) -> int:
@@ -282,8 +317,11 @@ class _DetectorState:
     def _live(store) -> int:
         return sum(len(per_thread) for per_thread in store)
 
+    def _live_stored(self) -> int:
+        return self.stats.segments_created - self.stats.segments_discarded
+
     def _note_live(self):
-        live = self._live(self.stored)
+        live = self._live_stored()
         if live > self.stats.segments_max_live:
             self.stats.segments_max_live = live
 

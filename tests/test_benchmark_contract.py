@@ -5,12 +5,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_forkjoin_traced_round():
+@pytest.mark.parametrize("workload", ["pingpong", "forkjoin", "racy-corpus"])
+def test_traced_round(workload):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "forkjoin",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "1", "--seconds", "0", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -86,6 +86,30 @@ def test_identify_garbled_report_usage_error(racy, tmp_path, capsys):
     assert main(["identify", racy, "--trace", trace, "--report", str(report)]) == 1
     assert "malformed report record" in capsys.readouterr().err
 
+
+def test_directory_as_program_usage_error(tmp_path, capsys):
+    assert main(["record", str(tmp_path)]) == 1
+    assert "error" in capsys.readouterr().err
+
+
+def test_directory_as_trace_or_report_usage_error(racy, tmp_path, capsys):
+    trace = str(tmp_path / "d.trace")
+    assert main(["record", racy, "--seed", "3", "-o", trace]) == 0
+    assert main(["detect", racy, "--trace", str(tmp_path)]) == 1
+    assert main(["identify", racy, "--trace", trace,
+                 "--report", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.count("error") == 2
+
+
+def test_non_utf8_report_usage_error(racy, tmp_path, capsys):
+    trace = str(tmp_path / "u.trace")
+    report = tmp_path / "u.report"
+    report.write_bytes(b"witness=0x\xff\n")
+    assert main(["record", racy, "--seed", "3", "-o", trace]) == 0
+    assert main(["identify", racy, "--trace", trace, "--report", str(report)]) == 1
+    assert "not UTF-8" in capsys.readouterr().err
+
+
 def test_record_then_replay_exit_codes(clean, tmp_path, capsys):
     trace = str(tmp_path / "c.trace")
     assert main(["record", clean, "--seed", "4", "-o", trace]) == 0

@@ -6,7 +6,8 @@ from _helpers import replay_events
 
 import racereplay.detector as detector_mod
 from racereplay import workloads
-from racereplay.clocks import Ordering, vc_compare
+from racereplay.clocks import (Ordering, column_min, vc_compare,
+                               vc_strictly_below)
 from racereplay.detector import CLEAN, DIVERGED_NO_RACE, RACE, detect
 from racereplay.generator import generate_program
 from racereplay.oracle import brute_force_detect
@@ -255,3 +256,54 @@ def test_scan_and_discard_work_bound(monkeypatch):
     assert st.segments_compared > 0
     assert compares[0] == st.segments_compared
     assert below[0] <= st.sync_events * prog.n_threads + st.segments_discarded
+
+
+def test_kept_horizon_is_exact_and_no_head_is_below_it(monkeypatch):
+    # The horizon is recomputed only when the syncing thread held a
+    # column's minimum and its value there rose, and heads are re-tested
+    # only when it rises; neither shortcut may lose a discard.
+    real = detector_mod._DetectorState._collect_garbage
+    seen = {}
+
+    def checked(state, tid, before):
+        real(state, tid, before)
+        horizon = column_min(state.clocks.snapshot())
+        assert state.horizon == horizon
+        for stored in state.stored:
+            assert not stored or not vc_strictly_below(stored[0].clock, horizon)
+        seen[state.stats.sync_events] = horizon
+
+    monkeypatch.setattr(detector_mod._DetectorState, "_collect_garbage", checked)
+    discards = 0
+    for text, seed in _epoch_programs():
+        prog = parse_program(text)
+        rec = record_execution(prog, seed)
+        for probe in (False, True):
+            seen.clear()
+            result = detect(prog, rec.trace, gc=True, probe=probe,
+                            keep_discarded=True, all_races=True)
+            assert len(seen) == result.stats.sync_events
+            for at, seg in result.discarded:
+                assert vc_strictly_below(seg.clock, seen[at])
+            discards += len(result.discarded)
+    assert discards > 100
+
+
+def test_discard_work_bound(monkeypatch):
+    # A sync op calls column_min only when the syncing thread held a
+    # column's minimum and its value there rose, and tests list heads only
+    # when the horizon rose: each thread's head once, plus one test per
+    # dropped segment.
+    below = _counting(monkeypatch, "vc_strictly_below")
+    minima = _counting(monkeypatch, "column_min")
+    prog = parse_program(generate_program(3, threads=16, ops_per_thread=200))
+    rec = record_execution(prog, 1)
+    st = detect(prog, rec.trace, all_races=True).stats
+    assert st.segments_discarded > 0
+    assert below[0] + minima[0] <= st.segments_created
+    for text, seed in _epoch_programs():
+        prog = parse_program(text)
+        rec = record_execution(prog, seed)
+        below[0] = minima[0] = 0
+        st = detect(prog, rec.trace, all_races=True).stats
+        assert below[0] <= prog.n_threads * minima[0] + st.segments_discarded
