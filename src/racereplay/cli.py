@@ -191,10 +191,13 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    text = generate_program(args.seed, threads=args.threads,
-                            ops_per_thread=args.ops,
-                            lock_density=args.lock_density,
-                            shared_addresses=args.shared)
+    try:
+        text = generate_program(args.seed, threads=args.threads,
+                                ops_per_thread=args.ops,
+                                lock_density=args.lock_density,
+                                shared_addresses=args.shared)
+    except ValueError as exc:
+        raise RaceReplayError(f"gen: {exc}") from None
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)

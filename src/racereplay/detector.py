@@ -73,11 +73,6 @@ class Segment:
         return (self.tid, self.index)
 
 
-def _epoch(seg: Segment) -> int:
-    """The segment's own clock component; strictly increasing per thread."""
-    return seg.clock[seg.tid]
-
-
 @dataclass(frozen=True)
 class RaceSide:
     tid: int
@@ -159,8 +154,10 @@ class _DetectorState:
         self.matrix = MatrixClockTracker(n, program.n_objects) if probe else None
         self.open: list[Optional[Segment]] = [None] * n
         self.closed_count = [0] * n
-        # stored[tid] lists the thread's live segments in index order.
+        # stored[tid] lists the thread's live segments in index order, and
+        # epochs[tid] their own clock components, for the scan's bisect.
         self.stored = [[] for _ in range(n)]
+        self.epochs = [[] for _ in range(n)]
         self.ghosts = [[] for _ in range(n)] if probe else None
         self.reports: list[RaceReport] = []
         self.stats = DetectStats()
@@ -208,6 +205,7 @@ class _DetectorState:
             self.all_segments.append(seg)
         found = self._scan_for_races(seg)
         self.stored[tid].append(seg)
+        self.epochs[tid].append(seg.clock[tid])
         if self.ghosts is not None:
             self.ghosts[tid].append(seg)
         self.stats.segments_created += 1
@@ -229,15 +227,15 @@ class _DetectorState:
         main thread's first segment, and every other thread starts by
         acquiring a clock its creator released after that segment.) Own
         components strictly increase along ``stored[u]``, so the ordered
-        segments found this way are the prefix that ``bisect_right``
-        skips. The suffix gets the exact concurrency test before its
-        bitmaps are intersected.
+        segments found this way are the prefix that ``bisect_right`` on
+        ``epochs[u]`` skips. The suffix gets the exact concurrency test
+        before its bitmaps are intersected.
         """
         clock = seg.clock
-        for tid, stored in enumerate(self.stored):
+        for tid, (stored, epochs) in enumerate(zip(self.stored, self.epochs)):
             if tid == seg.tid:
                 continue  # same-thread segments are always ordered
-            start = bisect_right(stored, clock[tid], key=_epoch)
+            start = bisect_right(epochs, clock[tid])
             for other in stored[start:]:
                 if vc_compare(other.clock, clock) is not Ordering.CONCURRENT:
                     continue
@@ -298,17 +296,20 @@ class _DetectorState:
         if a segment is strictly below the horizon, so is every earlier
         segment of that thread: the segments to drop are always a prefix
         of the list, and the scan of each thread stops at the first
-        segment that stays.
+        segment that stays. The same prefix leaves ``epochs`` with the
+        stored lists.
         """
         dropped = 0
-        for per_thread in store:
+        for tid, per_thread in enumerate(store):
             dead = 0
             while dead < len(per_thread) and \
                     vc_strictly_below(per_thread[dead].clock, horizon):
                 dead += 1
-            if self.keep_discarded and store is self.stored:
-                self.discarded.extend((self.stats.sync_events, seg)
-                                      for seg in per_thread[:dead])
+            if store is self.stored:
+                del self.epochs[tid][:dead]
+                if self.keep_discarded:
+                    self.discarded.extend((self.stats.sync_events, seg)
+                                          for seg in per_thread[:dead])
             del per_thread[:dead]
             dropped += dead
         return dropped

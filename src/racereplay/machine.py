@@ -13,16 +13,37 @@ before executing instruction 0. EXIT performs the matching handshake on
 the thread's exit object, but only for threads some JOIN targets;
 untargeted exits (typically main's) emit no event.
 
-The runnable list is kept from one step to the next. It is recomputed over
-all threads only after a gate step: a START, a sync op or an EXIT. After a
-plain step (LOAD, STORE, ADDI, SET) only the stepping thread is re-checked,
-and only if its next op is now a gate op; otherwise the list is reused as
-is. This is exact: a plain step changes only memory, registers and the
-stepping thread's pc, while blocking depends only on mutex owners,
-semaphore counts and thread status, which only gate steps change. A plain
-op never blocks, and the hooks contract (``ExecutionHooks.permits``) lets
-an answer change only at the same points. So the list, and hence the
-draw, is the one a full recomputation would give at every step.
+Runnable state is kept as thread-id bitmasks (Python ints, bit t for
+thread t) and changed only by gate steps: a START, a sync op or an EXIT.
+Every thread whose next op waits on an object (LOCK on a mutex, SEM_WAIT
+on a semaphore, JOIN on a thread's exit object) is filed in that object's
+waiter mask, and ``blocked`` holds the waiters of objects that cannot be
+taken now. A gate step is one mask operation on its object's waiters:
+LOCK blocks them all, UNLOCK frees them, a semaphore count going from 1
+to 0 blocks them and from 0 to 1 frees them, and a joined thread's EXIT
+frees its joiners. The draw takes the (value mod k)-th set bit of the
+runnable mask, the same ascending-thread-id pick as a list, by clearing
+fewer than k low bits. Beyond the draw a step thus costs O(1) mask
+operations plus one hooks call per thread it releases. Three arguments
+make the runnable mask the set a full recomputation would give at every
+step:
+
+* A whole group of waiters changes state at once. Whether a waiter can
+  take its object depends only on the object (owner, count, target's
+  status), never on the waiter, so all of an object's waiters block and
+  unblock together, and only a gate step on that object changes them. A
+  plain step (LOAD, STORE, ADDI, SET) never blocks and changes no state
+  that blocking reads.
+* The hooks are first asked at the first point the thread can run at
+  its op: when it reaches a gate op that is not blocked, or when its
+  object frees. That is where a full recomputation would first ask them,
+  so a hook with side effects on its first refusal (the replay gate's
+  over-budget set) sees the same threads. Plain ops are never vetoed.
+* The gate is monotone. An answer is kept for the thread's current op.
+  A True answer stays True until the thread steps; a False answer may
+  turn True only after a gate step, and only for the threads that
+  ``ExecutionHooks.recheck`` names, which are asked again then. The
+  default names every refused thread.
 """
 
 from __future__ import annotations
@@ -97,13 +118,24 @@ class ExecutionHooks:
     def permits(self, machine: "Machine", tid: int) -> bool:
         """Whether the thread, which can otherwise run, may take its next step.
 
-        The machine caches the answer. It asks again for every thread after
-        a step that was a START, a sync op or an EXIT, and for the stepping
-        thread after a plain step that leaves it before a sync op or EXIT.
-        So the answer may change only at those points: it may depend on the
-        thread's next op and on state that only those steps change.
+        Asked only when the next step is a gate step (a START, a sync op
+        or an EXIT), first at the first point the thread can run there:
+        when it reaches the op with its object free, or when the object
+        frees. The machine keeps the answer for that op. True is final
+        until the thread steps. False is asked again only after a gate
+        step, and only if ``recheck`` names the thread; so an answer may
+        turn from False to True only through state that gate steps change.
         """
         return True
+
+    def recheck(self, machine: "Machine", vetoed: int) -> int:
+        """Bitmask of the vetoed threads to ask again after a gate step.
+
+        ``vetoed`` has bit ``t`` set for each thread refused at its current
+        op. Naming all of them is always correct; a hooks class that knows
+        which refusals the last step can have lifted may name only those.
+        """
+        return vetoed
 
     def on_event(self, machine: "Machine", event: Event):
         """Return a truthy value to stop execution after this event."""
@@ -143,6 +175,11 @@ class Machine:
         self.sync_done = [0] * n  # sync events emitted per thread
         self.events: list[Event] = []
         self.steps = 0
+        # Thread-id bitmasks; see the module docstring.
+        self.waiters: dict[int, int] = {}  # object id -> threads waiting on it
+        self.blocked = 0    # waiting on an object that cannot be taken now
+        self.permitted = 0  # at a plain op, or the hooks allowed the current op
+        self.vetoed = 0     # the hooks refused the current op
 
     # -- introspection used by replay hooks ---------------------------------
 
@@ -167,26 +204,89 @@ class Machine:
 
     # -- scheduling ----------------------------------------------------------
 
-    def _can_run(self, tid: int) -> bool:
-        """Whether a READY thread's next op can complete now and the hooks permit it."""
+    def _ask(self, mask: int):
+        """Ask the hooks about each thread in the mask, which can all run now."""
+        hooks = self.hooks
+        if hooks is None:
+            self.permitted |= mask
+            return
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            if hooks.permits(self, low.bit_length() - 1):
+                self.permitted |= low
+            else:
+                self.vetoed |= low
+
+    def _arrive(self, tid: int):
+        """Enter the thread's next op: file it under its object, ask the hooks."""
+        bit = 1 << tid
+        self.permitted &= ~bit
         if not self.needs_start[tid]:
             ins = self.program.threads[tid][self.pc[tid]]
             op = ins.op
             if op is Op.LOCK:
-                if self.mutex_owner[ins.a] is not None:
-                    return False
+                obj, free = ins.a, self.mutex_owner[ins.a] is None
             elif op is Op.SEM_WAIT:
-                if self.sem_count[ins.a] <= 0:
-                    return False
+                obj, free = ins.a, self.sem_count[ins.a] > 0
             elif op is Op.JOIN:
-                if self.status[ins.a] is not _Status.EXITED:
-                    return False
-        return self.hooks is None or self.hooks.permits(self, tid)
+                obj = self.program.exit_obj[ins.a]
+                free = self.status[ins.a] is _Status.EXITED
+            elif op in _PLAIN_OPS:
+                self.permitted |= bit
+                return
+            else:
+                obj = None
+            if obj is not None:
+                self.waiters[obj] = self.waiters.get(obj, 0) | bit
+                if not free:
+                    self.blocked |= bit
+                    return
+        self._ask(bit)
 
-    def _runnable(self):
-        status = self.status
-        return [tid for tid in range(self.program.n_threads)
-                if status[tid] is _Status.READY and self._can_run(tid)]
+    def _release(self, obj: int) -> int:
+        """Unblock the object's waiters; returns those not yet asked."""
+        freed = self.waiters.get(obj, 0)
+        self.blocked &= ~freed
+        return freed & ~self.permitted & ~self.vetoed
+
+    def _after_gate(self, tid: int, ins) -> None:
+        """Update the masks after a START (``ins`` None), sync op or EXIT step."""
+        bit = 1 << tid
+        waiters = self.waiters
+        ask = 0
+        if ins is not None:
+            op, a = ins.op, ins.a
+            if op is Op.LOCK:
+                waiters[a] &= ~bit
+                self.blocked |= waiters[a]
+            elif op is Op.UNLOCK:
+                ask = self._release(a)
+            elif op is Op.SEM_WAIT:
+                waiters[a] &= ~bit
+                if self.sem_count[a] == 0:
+                    self.blocked |= waiters[a]
+            elif op is Op.SEM_POST:
+                if self.sem_count[a] == 1:
+                    ask = self._release(a)
+            elif op is Op.JOIN:
+                waiters[self.program.exit_obj[a]] &= ~bit
+            elif op is Op.EXIT:
+                self.permitted &= ~bit
+                if tid in self.program.join_targets:
+                    ask = self._release(self.program.exit_obj[tid])
+        if self.hooks is not None and self.vetoed:
+            again = self.hooks.recheck(self, self.vetoed) & self.vetoed
+            self.vetoed &= ~again
+            ask |= again & ~self.blocked
+        if ask:
+            self._ask(ask)
+        if ins is not None and ins.op is Op.CREATE:
+            self._arrive(ins.a)
+        # The thread just ran, so it is permitted: a plain next op keeps it so.
+        if self.status[tid] is not _Status.EXITED and \
+                self.program.threads[tid][self.pc[tid]].op not in _PLAIN_OPS:
+            self._arrive(tid)
 
     def _block_reason(self, tid: int):
         """None if the thread's next op can complete now, else a reason string."""
@@ -294,23 +394,36 @@ class Machine:
     def run(self) -> RunResult:
         threads, pc, needs_start = self.program.threads, self.pc, self.needs_start
         live = sum(s is not _Status.EXITED for s in self.status)
-        runnable = self._runnable()
+        self._arrive(MAIN_THREAD)
+        runnable = self.permitted & ~self.blocked
         while live:
             if not runnable:
                 raise DeadlockError(self._blocked_report(), self.events,
                                     self.memory, self.steps)
             self._rng, draw = splitmix64(self._rng)
-            tid = runnable[draw % len(runnable)]
+            pick, j = runnable, draw % runnable.bit_count()
+            while j:  # the j-th runnable thread in ascending id order
+                pick &= pick - 1
+                j -= 1
+            tid = (pick & -pick).bit_length() - 1
             self.steps += 1
-            plain = not needs_start[tid] and threads[tid][pc[tid]].op in _PLAIN_OPS
+            if needs_start[tid]:
+                ins = None
+            else:
+                ins = threads[tid][pc[tid]]
+                if ins.op in _PLAIN_OPS:
+                    if self._step(tid):
+                        return RunResult(self.memory, self.events, self.steps, stopped=True)
+                    if threads[tid][pc[tid]].op not in _PLAIN_OPS:
+                        self._arrive(tid)
+                        runnable = self.permitted & ~self.blocked
+                    continue
             if self._step(tid):
                 return RunResult(self.memory, self.events, self.steps, stopped=True)
-            if not plain:
-                if self.status[tid] is _Status.EXITED:
-                    live -= 1
-                runnable = self._runnable()
-            elif threads[tid][pc[tid]].op not in _PLAIN_OPS and not self._can_run(tid):
-                runnable.remove(tid)
+            if self.status[tid] is _Status.EXITED:
+                live -= 1
+            self._after_gate(tid, ins)
+            runnable = self.permitted & ~self.blocked
         return RunResult(self.memory, self.events, self.steps)
 
 

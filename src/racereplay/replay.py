@@ -42,6 +42,18 @@ class ReplayResult:
 
 
 class _ReplayHooks(ExecutionHooks):
+    """The replay gate: a sync op runs once no smaller stamp is unexecuted.
+
+    A refused thread is parked under the stamp it waits for, and
+    ``recheck`` hands it back when the frontier reaches that stamp. This
+    is exact. A thread's next stamp changes only when the thread itself
+    executes a sync op, and the frontier only rises, so the answer for its
+    current op turns from False to True only when the frontier reaches
+    that stamp. The frontier never passes an unexecuted stamp, so it stops
+    at that one before it moves on. A thread past its recorded sync count
+    is refused for good and never parked.
+    """
+
     def __init__(self, stamps, observer):
         self.stamps = stamps
         self.observer = observer
@@ -54,6 +66,10 @@ class _ReplayHooks(ExecutionHooks):
         for ts in all_stamps:
             self.remaining[ts] = self.remaining.get(ts, 0) + 1
         self.frontier = 0
+        # Threads refused at the gate, by the stamp each waits for; stamps
+        # at order indices below ``released`` have been handed back.
+        self.parked: dict[int, int] = {}
+        self.released = 0
 
     def _frontier_stamp(self):
         while self.frontier < len(self.order) and self.remaining[self.order[self.frontier]] == 0:
@@ -69,8 +85,24 @@ class _ReplayHooks(ExecutionHooks):
         if k >= len(self.stamps[tid]):
             self.over_budget.add(tid)
             return False
+        stamp = self.stamps[tid][k]
         horizon = self._frontier_stamp()
-        return horizon is None or self.stamps[tid][k] <= horizon
+        if horizon is None or stamp <= horizon:
+            return True
+        self.parked[stamp] = self.parked.get(stamp, 0) | 1 << tid
+        return False
+
+    def recheck(self, machine: Machine, vetoed: int) -> int:
+        """The parked threads whose stamp the frontier has reached."""
+        self._frontier_stamp()
+        if self.released > self.frontier:
+            return 0
+        due = 0
+        parked = self.parked
+        for i in range(self.released, min(self.frontier + 1, len(self.order))):
+            due |= parked.pop(self.order[i], 0)
+        self.released = self.frontier + 1
+        return due
 
     def on_event(self, machine: Machine, event: Event):
         if event.kind is EventKind.SYNC:

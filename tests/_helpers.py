@@ -1,5 +1,6 @@
 """Shared helpers for the test suite."""
 
+from racereplay.machine import ExecutionHooks
 from racereplay.program import parse_program
 from racereplay.record import record_execution
 from racereplay.replay import replay_execution
@@ -34,3 +35,14 @@ def per_object_sync_sequences(events):
         if ev.kind is EventKind.SYNC:
             out.setdefault(ev.obj, []).append((ev.tid, ev.sync))
     return out
+
+
+class CountingHooks(ExecutionHooks):
+    """Permits every step and counts how often it was asked."""
+
+    def __init__(self):
+        self.permits_calls = 0
+
+    def permits(self, machine, tid):
+        self.permits_calls += 1
+        return True

@@ -175,6 +175,19 @@ def test_gen_roundtrip(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--threads", "0", "at least one thread"),
+    ("--ops", "3", "too small"),
+    ("--shared", "0", "at least one shared address"),
+])
+def test_gen_bad_knob_usage_error(flag, value, message, tmp_path, capsys):
+    out = tmp_path / "gen.prog"
+    assert main(["gen", flag, value, "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
 def test_oracle_detect_agrees(racy, tmp_path, capsys):
     trace = str(tmp_path / "o.trace")
     assert main(["record", racy, "-o", trace]) == 0

@@ -271,6 +271,9 @@ def test_kept_horizon_is_exact_and_no_head_is_below_it(monkeypatch):
         assert state.horizon == horizon
         for stored in state.stored:
             assert not stored or not vc_strictly_below(stored[0].clock, horizon)
+        # The scan bisects epochs[u]; it must track stored[u] exactly.
+        assert state.epochs == [[seg.clock[u] for seg in stored]
+                                for u, stored in enumerate(state.stored)]
         seen[state.stats.sync_events] = horizon
 
     monkeypatch.setattr(detector_mod._DetectorState, "_collect_garbage", checked)

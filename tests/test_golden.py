@@ -9,21 +9,31 @@ rule, the replay gate or the detector's verdicts changes the digest.
 The constant was captured before the scheduler kept its runnable list
 from step to step, so it pins that change to the earlier per-step
 recomputation bit for bit.
+
+``GOLDEN_CONTENDED`` covers what that corpus lacks: many threads blocked on
+one object at once (a semaphore starting at 0 with three waiters, a thread
+joined by two others, dense locking at 8 to 32 threads). It was captured
+while the scheduler still rebuilt its runnable list over every thread after
+each sync op, before the list became per-object waiter bitmasks, so it pins
+that change bit for bit.
 """
 
 import hashlib
+from collections import Counter
 from dataclasses import astuple
 
 from racereplay import workloads
 from racereplay.detector import detect
 from racereplay.errors import DeadlockError
 from racereplay.generator import generate_program
+from racereplay.machine import ExecutionHooks, _Status, run
 from racereplay.program import parse_program
 from racereplay.record import record_execution
 from racereplay.replay import replay_execution
 from racereplay.tracefile import SyncTrace
 
 GOLDEN = "c90be311369ff79e6cc5f03e5aa0cccab6c10ebda2ac0d44d7879935204e08aa"
+GOLDEN_CONTENDED = "9161cef309db47bf4e4fc4750f2f940a233f19f4501bbf84a6396f0f3cec774b"
 
 SEEDS = (0, 1, 7)
 
@@ -39,6 +49,22 @@ SEM_DEADLOCK = (
     "sem s 0\n"
     "thread 0:\n  CREATE 1\n  LOAD r0 0x00000020\n  SEM_WAIT s\n  JOIN 1\n  EXIT\n"
     "thread 1:\n  STORE r0 0x00000020\n  SEM_WAIT s\n  SEM_POST s\n  EXIT\n")
+
+
+SEM_THREE_WAITERS = (
+    "sem s 0\nmutex m\n"
+    "thread 0:\n  CREATE 1\n  CREATE 2\n  CREATE 3\n  SEM_POST s\n"
+    "  SEM_POST s\n  LOCK m\n  STORE r0 0x00000100\n  UNLOCK m\n"
+    "  SEM_POST s\n  JOIN 1\n  JOIN 2\n  JOIN 3\n  EXIT\n"
+    + "".join(f"thread {t}:\n  SEM_WAIT s\n  LOCK m\n  LOAD r0 0x00000100\n"
+              "  ADDI r0 1\n  STORE r0 0x00000100\n  UNLOCK m\n  EXIT\n"
+              for t in (1, 2, 3)))
+
+TWO_JOINERS = (
+    "thread 0:\n  CREATE 1\n  CREATE 2\n  CREATE 3\n  JOIN 2\n  JOIN 3\n  EXIT\n"
+    "thread 1:\n  SET r0 5\n" + "  ADDI r0 1\n" * 6 + "  STORE r0 0x00000200\n  EXIT\n"
+    "thread 2:\n  JOIN 1\n  LOAD r0 0x00000200\n  EXIT\n"
+    "thread 3:\n  JOIN 1\n  LOAD r0 0x00000200\n  STORE r0 0x00000204\n  EXIT\n")
 
 
 def corpus():
@@ -57,6 +83,19 @@ def corpus():
               workloads.shared_counter(),
               workloads.shared_counter(locked=True),
               SELF_LOCK_DEADLOCK, SEM_DEADLOCK]
+    return texts
+
+
+def contended_corpus():
+    texts = [SEM_THREE_WAITERS, TWO_JOINERS,
+             generate_program(32, threads=32, ops_per_thread=20,
+                              lock_density=1.0)]
+    for i, (threads, density) in enumerate(((8, 0.0), (8, 1.0), (12, 0.5),
+                                            (16, 1.0))):
+        texts.append(generate_program(300 + i, threads=threads,
+                                      ops_per_thread=24, lock_density=density))
+    texts += [workloads.contended_counter(8, 20),
+              workloads.producer_consumer(30, 3)]
     return texts
 
 
@@ -100,9 +139,9 @@ def behaviour(text, seed):
     return out
 
 
-def corpus_digest():
+def corpus_digest(texts):
     h = hashlib.sha256()
-    for text in corpus():
+    for text in texts:
         for seed in SEEDS:
             h.update(repr(behaviour(text, seed)).encode())
     return h.hexdigest()
@@ -116,4 +155,31 @@ def test_corpus_covers_deadlock_and_divergence():
 
 
 def test_golden_digest():
-    assert corpus_digest() == GOLDEN
+    assert corpus_digest(corpus()) == GOLDEN
+
+
+class _WaiterCount(ExecutionHooks):
+    """Largest number of threads blocked for the same reason after any event."""
+
+    def __init__(self):
+        self.most = 0
+
+    def on_event(self, machine, event):
+        reasons = Counter(machine._block_reason(tid)
+                          for tid in range(machine.program.n_threads)
+                          if machine.status[tid] is _Status.READY)
+        reasons.pop(None, None)
+        self.most = max([self.most, *reasons.values()])
+
+
+def test_contended_cases_block_several_threads_on_one_object():
+    for text in (SEM_THREE_WAITERS, TWO_JOINERS):
+        program = parse_program(text)
+        for seed in SEEDS:
+            hooks = _WaiterCount()
+            run(program, seed, hooks)
+            assert hooks.most >= 2
+
+
+def test_golden_contended_digest():
+    assert corpus_digest(contended_corpus()) == GOLDEN_CONTENDED

@@ -2,10 +2,11 @@
 
 import pytest
 
+from _helpers import CountingHooks
+
 from racereplay import workloads
 from racereplay.errors import DeadlockError, MachineError
-from racereplay.machine import (EventKind, ExecutionHooks, SyncKind, run,
-                                splitmix64)
+from racereplay.machine import EventKind, SyncKind, run, splitmix64
 from racereplay.program import parse_program
 
 
@@ -165,19 +166,10 @@ def test_exit_event_only_for_join_targets():
     assert exits == [1]
 
 
-class CountingHooks(ExecutionHooks):
-    def __init__(self):
-        self.permits_calls = 0
-
-    def permits(self, machine, tid):
-        self.permits_calls += 1
-        return True
-
-
 def test_scheduler_rechecks_threads_only_at_sync_points():
     # Main forks 8 workers that each make 500 memory ops, then joins them.
-    # The runnable set is recomputed only after sync and EXIT steps, plus
-    # one re-check of a thread whose next op has just become a sync op.
+    # The hooks are asked only about gate ops (START, sync ops, EXIT), never
+    # about the memory steps between them.
     workers = 8
     lines = ["thread 0:"]
     lines += [f"  CREATE {t}" for t in range(1, workers + 1)]

@@ -2,14 +2,15 @@
 
 import pytest
 
-from _helpers import per_object_sync_sequences, replay_events
+from _helpers import CountingHooks, per_object_sync_sequences, replay_events
 
 from racereplay import workloads
 from racereplay.errors import MismatchError
 from racereplay.generator import generate_program
+from racereplay.machine import run
 from racereplay.program import parse_program
 from racereplay.record import record_execution
-from racereplay.replay import DIVERGED, OK, replay_execution
+from racereplay.replay import DIVERGED, OK, _ReplayHooks, replay_execution
 from racereplay.tracefile import SyncTrace
 
 
@@ -111,3 +112,31 @@ def test_equal_stamps_may_run_any_order():
     for replay_seed in range(6):
         assert replay_execution(prog, rec.trace,
                                 replay_seed=replay_seed).verdict == OK
+
+
+@pytest.mark.parametrize("threads, ops", [(16, 200), (64, 100)])
+def test_gate_work_is_bounded_by_sync_ops(monkeypatch, threads, ops):
+    # The hooks are asked when a thread first can run at a gate op and
+    # again only when its refusal may have been lifted: a lock's release,
+    # or the replay frontier reaching the thread's stamp. So the asks stay
+    # within a few per sync op, however many threads wait on each lock.
+    prog = parse_program(generate_program(3, threads=threads,
+                                          ops_per_thread=ops,
+                                          lock_density=1.0))
+    rec = record_execution(prog, 1)
+    bound = 3 * rec.sync_ops + prog.n_threads
+    counting = CountingHooks()
+    run(prog, 1, counting)
+    assert counting.permits_calls <= bound
+
+    calls = 0
+    permits = _ReplayHooks.permits
+
+    def counted(self, machine, tid):
+        nonlocal calls
+        calls += 1
+        return permits(self, machine, tid)
+
+    monkeypatch.setattr(_ReplayHooks, "permits", counted)
+    assert replay_execution(prog, rec.trace).verdict == OK
+    assert calls <= bound
