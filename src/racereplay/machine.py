@@ -14,17 +14,18 @@ the thread's exit object, but only for threads some JOIN targets;
 untargeted exits (typically main's) emit no event.
 
 Runnable state is kept as thread-id bitmasks (Python ints, bit t for
-thread t) and changed only by gate steps: a START, a sync op or an EXIT.
+thread t) and changed only by gate steps (a START, a sync op or an EXIT)
+and by a plain step that brings its thread to a gate op.
 Every thread whose next op waits on an object (LOCK on a mutex, SEM_WAIT
 on a semaphore, JOIN on a thread's exit object) is filed in that object's
 waiter mask, and ``blocked`` holds the waiters of objects that cannot be
 taken now. A gate step is one mask operation on its object's waiters:
 LOCK blocks them all, UNLOCK frees them, a semaphore count going from 1
 to 0 blocks them and from 0 to 1 frees them, and a joined thread's EXIT
-frees its joiners. The draw takes the (value mod k)-th set bit of the
-runnable mask, the same ascending-thread-id pick as a list, by clearing
-fewer than k low bits. Beyond the draw a step thus costs O(1) mask
-operations plus one hooks call per thread it releases. Three arguments
+frees its joiners. A step thus costs O(1) mask operations plus one hooks
+call per thread it releases. The draw indexes ``ids``, the set bits of
+the runnable mask in ascending order, built again in O(k) only when the
+mask changes, so a step between plain ops draws in O(1). Three arguments
 make the runnable mask the set a full recomputation would give at every
 step:
 
@@ -396,16 +397,13 @@ class Machine:
         live = sum(s is not _Status.EXITED for s in self.status)
         self._arrive(MAIN_THREAD)
         runnable = self.permitted & ~self.blocked
+        ids = _bit_ids(runnable)
         while live:
-            if not runnable:
+            if not ids:
                 raise DeadlockError(self._blocked_report(), self.events,
                                     self.memory, self.steps)
             self._rng, draw = splitmix64(self._rng)
-            pick, j = runnable, draw % runnable.bit_count()
-            while j:  # the j-th runnable thread in ascending id order
-                pick &= pick - 1
-                j -= 1
-            tid = (pick & -pick).bit_length() - 1
+            tid = ids[draw % len(ids)]
             self.steps += 1
             if needs_start[tid]:
                 ins = None
@@ -416,15 +414,29 @@ class Machine:
                         return RunResult(self.memory, self.events, self.steps, stopped=True)
                     if threads[tid][pc[tid]].op not in _PLAIN_OPS:
                         self._arrive(tid)
-                        runnable = self.permitted & ~self.blocked
+                        now = self.permitted & ~self.blocked
+                        if now != runnable:
+                            runnable, ids = now, _bit_ids(now)
                     continue
             if self._step(tid):
                 return RunResult(self.memory, self.events, self.steps, stopped=True)
             if self.status[tid] is _Status.EXITED:
                 live -= 1
             self._after_gate(tid, ins)
-            runnable = self.permitted & ~self.blocked
+            now = self.permitted & ~self.blocked
+            if now != runnable:
+                runnable, ids = now, _bit_ids(now)
         return RunResult(self.memory, self.events, self.steps)
+
+
+def _bit_ids(mask: int) -> list:
+    """The set bits of a thread-id mask as ascending thread ids."""
+    ids = []
+    while mask:
+        low = mask & -mask
+        ids.append(low.bit_length() - 1)
+        mask ^= low
+    return ids
 
 
 def run(program: Program, seed: int, hooks: Optional[ExecutionHooks] = None) -> RunResult:

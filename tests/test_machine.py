@@ -4,8 +4,10 @@ import pytest
 
 from _helpers import CountingHooks
 
+from racereplay import machine as machine_mod
 from racereplay import workloads
 from racereplay.errors import DeadlockError, MachineError
+from racereplay.generator import generate_program
 from racereplay.machine import EventKind, SyncKind, run, splitmix64
 from racereplay.program import parse_program
 
@@ -188,3 +190,21 @@ def test_scheduler_rechecks_threads_only_at_sync_points():
     exits = n
     assert res.steps == workers * 500 + syncs + 1  # main's EXIT emits no event
     assert hooks.permits_calls <= n * (syncs + exits + 1) + syncs + exits
+
+
+def test_draw_list_is_rebuilt_only_at_gate_ops(monkeypatch):
+    # 64 threads with no locks: nearly every step is a memory step with many
+    # threads runnable. The draw indexes a list of runnable ids that is built
+    # again only after a gate step or when a memory step reaches a gate op,
+    # so building it costs nothing per memory step.
+    builds = []
+    bit_ids = machine_mod._bit_ids
+    monkeypatch.setattr(machine_mod, "_bit_ids",
+                        lambda mask: builds.append(mask) or bit_ids(mask))
+    prog = parse_program(generate_program(3, threads=64, ops_per_thread=100,
+                                          lock_density=0.0))
+    res = run(prog, 1)
+    gate_steps = sum(1 for e in res.events if e.kind is EventKind.SYNC) + prog.n_threads
+    assert res.steps > 4 * gate_steps
+    assert len(builds) <= 2 * gate_steps + 1
+    assert max(bin(m).count("1") for m in builds) > 32
