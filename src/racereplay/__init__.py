@@ -3,7 +3,6 @@ record/replay: trace the synchronisation order once, replay the execution
 while comparing per-segment address sets, then replay again to pinpoint
 the racing instructions."""
 
-from .bitmap import BACKEND as bitmap_backend
 from .bitmap import MultilevelBitmap, race_witnesses
 from .detector import detect
 from .generator import generate_program
@@ -14,6 +13,9 @@ from .record import record_execution
 from .replay import replay_execution
 
 __version__ = "0.1.0"
+
+# The one bitmap implementation; perfbench records this in its provenance.
+bitmap_backend = "py"
 
 __all__ = [
     "MultilevelBitmap",

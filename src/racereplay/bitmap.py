@@ -1,52 +1,136 @@
-"""Address-set bitmaps: backend selection between compiled and pure Python.
+"""Multilevel address-set bitmaps (9/9/14 split), the detector's per-segment
+load and store sets.
 
-The compiled extension is preferred when importable; set the environment
-variable ``RACEREPLAY_BITMAP=py`` (or ``ext``) before import to force a
-backend. Both backends implement the same class and module-level helper.
+Each set covers the full 32-bit space. The top 9 address bits index a
+root directory, the next 9 bits a second-level table, and the low 14 bits
+a bit inside a 16384-bit (2 KiB) leaf. Tables are materialised only for
+populated subtrees, so dense local access patterns cost a handful of 2 KiB
+nodes instead of the 512 MB a flat bitmap would need.
+
+Lookup tables are Python dicts rather than 512-slot arrays; storage is
+still accounted as 2 KiB per materialised node (root, table or leaf).
 """
 
 from __future__ import annotations
 
-import os
+LEAF_BYTES = 2048
+NODE_PAYLOAD = 2048  # modeled bytes per node (root, table, or leaf)
 
-from ._kernels import bitmap_py
-
-_FORCED = os.environ.get("RACEREPLAY_BITMAP", "").strip().lower()
-
-if _FORCED in ("py", "python", "pure"):
-    _impl = bitmap_py
-    BACKEND = "py"
-elif _FORCED in ("", "ext", "c"):
-    try:
-        from ._kernels import bitmap_ext as _impl
-        BACKEND = "ext"
-    except ImportError:
-        _impl = bitmap_py
-        BACKEND = "py"
-    if _FORCED and BACKEND != "ext":
-        raise ImportError("RACEREPLAY_BITMAP=ext requested but the compiled "
-                          "bitmap extension is not available")
-else:
-    raise ImportError(f"unknown RACEREPLAY_BITMAP value {_FORCED!r}")
-
-MultilevelBitmap = _impl.BitmapCore
-race_witnesses = _impl.race_witnesses
-NODE_PAYLOAD = _impl.NODE_PAYLOAD
+_ADDR_MASK = 0xFFFFFFFF
 
 
-def available_backends():
-    """Mapping of backend name -> kernel module, for benchmarks and tests."""
-    out = {"py": bitmap_py}
-    try:
-        from ._kernels import bitmap_ext
-        out["ext"] = bitmap_ext
-    except ImportError:
-        pass
+class MultilevelBitmap:
+    """Mutable address set; insert/contains/first_common over 32-bit words."""
+
+    __slots__ = ("_root", "_count")
+
+    def __init__(self):
+        self._root = {}  # root index -> {mid index -> bytearray leaf}
+        self._count = 0
+
+    # -- mutation / lookup ----------------------------------------------------
+
+    def insert(self, addr: int) -> None:
+        if not 0 <= addr <= _ADDR_MASK:
+            raise ValueError(f"address {addr:#x} outside 32-bit range")
+        mid = self._root.setdefault(addr >> 23, {})
+        leaf = mid.get((addr >> 14) & 0x1FF)
+        if leaf is None:
+            leaf = mid[(addr >> 14) & 0x1FF] = bytearray(LEAF_BYTES)
+        bit = addr & 0x3FFF
+        mask = 1 << (bit & 7)
+        if not leaf[bit >> 3] & mask:
+            leaf[bit >> 3] |= mask
+            self._count += 1
+
+    def contains(self, addr: int) -> bool:
+        mid = self._root.get(addr >> 23)
+        if mid is None:
+            return False
+        leaf = mid.get((addr >> 14) & 0x1FF)
+        if leaf is None:
+            return False
+        bit = addr & 0x3FFF
+        return bool(leaf[bit >> 3] & (1 << (bit & 7)))
+
+    __contains__ = contains
+
+    def __len__(self) -> int:
+        return self._count
+
+    def is_empty(self) -> bool:
+        return self._count == 0
+
+    # -- set queries -----------------------------------------------------------
+
+    def first_common(self, other: "MultilevelBitmap"):
+        """Smallest address present in both sets, or None."""
+        for r in sorted(self._root.keys() & other._root.keys()):
+            mine, theirs = self._root[r], other._root[r]
+            for m in sorted(mine.keys() & theirs.keys()):
+                both = (int.from_bytes(mine[m], "little")
+                        & int.from_bytes(theirs[m], "little"))
+                if both:
+                    bit = (both & -both).bit_length() - 1
+                    return (r << 23) | (m << 14) | bit
+        return None
+
+    def addresses(self):
+        """All members in ascending order."""
+        out = []
+        for r in sorted(self._root):
+            for m in sorted(self._root[r]):
+                base = (r << 23) | (m << 14)
+                word = int.from_bytes(self._root[r][m], "little")
+                while word:
+                    low = word & -word
+                    out.append(base | (low.bit_length() - 1))
+                    word ^= low
+        return out
+
+    # -- storage accounting ------------------------------------------------------
+
+    def node_counts(self):
+        """(root tables, mid tables, leaf bitmaps) materialised so far."""
+        return 1, len(self._root), sum(len(m) for m in self._root.values())
+
+    def payload_bytes(self) -> int:
+        roots, mids, leaves = self.node_counts()
+        return NODE_PAYLOAD * (roots + mids + leaves)
+
+
+def race_witnesses(loads_a, stores_a, loads_b, stores_b):
+    """Addresses witnessing a conflict between two sides of accesses.
+
+    Evaluates ((La ∪ Sa) ∩ Sb) ∪ ((Lb ∪ Sb) ∩ Sa) and returns the members
+    ascending; an empty result means the two sides cannot race.
+    """
+    candidates = set()
+    for used, stores in ((loads_a, stores_b), (stores_a, stores_b),
+                         (loads_b, stores_a), (stores_b, stores_a)):
+        for r in used._root.keys() & stores._root.keys():
+            for m in used._root[r].keys() & stores._root[r].keys():
+                candidates.add((r, m))
+    out = []
+    for r, m in sorted(candidates):
+        la = _leaf_int(loads_a, r, m)
+        sa = _leaf_int(stores_a, r, m)
+        lb = _leaf_int(loads_b, r, m)
+        sb = _leaf_int(stores_b, r, m)
+        word = ((la | sa) & sb) | ((lb | sb) & sa)
+        base = (r << 23) | (m << 14)
+        while word:
+            low = word & -word
+            out.append(base | (low.bit_length() - 1))
+            word ^= low
     return out
 
 
-def from_addresses(addresses) -> "MultilevelBitmap":
-    bm = MultilevelBitmap()
-    for a in addresses:
-        bm.insert(a)
-    return bm
+def _leaf_int(bm: MultilevelBitmap, r: int, m: int) -> int:
+    mid = bm._root.get(r)
+    if mid is None:
+        return 0
+    leaf = mid.get(m)
+    if leaf is None:
+        return 0
+    return int.from_bytes(leaf, "little")

@@ -1,8 +1,8 @@
 """Command line front door.
 
 Subcommands: record, replay, detect, identify, pipeline (all three
-phases), gen (random program generator), bench (bitmap backend
-comparison) and a hidden oracle-detect for debugging.
+phases) and gen (random program generator). Timing lives outside the
+package, in ``perfbench/``.
 
 Exit codes: 0 clean/success, 10 race found, 20 divergence without a
 detected race, 1 usage or input errors.
@@ -13,12 +13,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import bench as _bench
 from .detector import CLEAN, DIVERGED_NO_RACE, RACE, detect
 from .errors import RaceReplayError
 from .generator import generate_program
 from .identify import identify
-from .oracle import brute_force_detect
 from .program import Program, load_program
 from .record import record_execution
 from .replay import OK, replay_execution
@@ -207,30 +205,6 @@ def cmd_gen(args) -> int:
     return EXIT_CLEAN
 
 
-def cmd_oracle_detect(args) -> int:
-    program = load_program(args.program)
-    trace = SyncTrace.read(args.trace)
-    events = []
-
-    def keep(machine, event):
-        events.append(event)
-        return False
-
-    replay_execution(program, trace, observer=keep, replay_seed=args.replay_seed)
-    race = brute_force_detect(events, program.n_threads)
-    if race is None:
-        print("no race")
-        return EXIT_CLEAN
-    witnesses = ",".join(f"0x{w:08X}" for w in sorted(race.witnesses))
-    print(f"race segments={race.segment_a}/{race.segment_b} witnesses={witnesses}")
-    return EXIT_RACE
-
-
-def cmd_bench(args) -> int:
-    _bench.run_benchmark(inserts=args.inserts, pairs=args.pairs)
-    return EXIT_CLEAN
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="racereplay",
@@ -286,15 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lock-density", type=_density, default=1.0)
     p.add_argument("--shared", type=int, default=4, help="shared address count")
     p.add_argument("-o", "--output")
-
-    p = add("oracle-detect", cmd_oracle_detect)  # debugging aid, undocumented
-    p.add_argument("program")
-    p.add_argument("--trace", required=True)
-    p.add_argument("--replay-seed", type=_u64, default=0)
-
-    p = add("bench", cmd_bench, help="compare bitmap kernel backends")
-    p.add_argument("--inserts", type=int, default=200_000)
-    p.add_argument("--pairs", type=int, default=2_000)
     return parser
 
 

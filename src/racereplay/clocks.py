@@ -70,12 +70,6 @@ def column_min(rows):
     return tuple(map(min, *rows)) if len(rows) > 1 else tuple(rows[0])
 
 
-def snoop(current_clocks):
-    """Snapshot all live thread clocks; returns (matrix rows, horizon)."""
-    rows = tuple(tuple(c) for c in current_clocks)
-    return rows, column_min(rows)
-
-
 class VectorClockTracker:
     """Per-execution vector clock state for threads and sync objects."""
 

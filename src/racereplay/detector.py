@@ -59,14 +59,7 @@ class Segment:
     loads: MultilevelBitmap
     stores: MultilevelBitmap
     clock: tuple = ()
-    first_ordinal: int = -1
-    last_ordinal: int = -1
     closed_at: int = -1  # value of the sync-event counter at close time
-
-    def note_access(self, ordinal: int):
-        if self.first_ordinal < 0:
-            self.first_ordinal = ordinal
-        self.last_ordinal = max(self.last_ordinal, ordinal)
 
     @property
     def key(self):
@@ -177,7 +170,6 @@ class _DetectorState:
                 event.tid, self.closed_count[event.tid],
                 MultilevelBitmap(), MultilevelBitmap())
         (seg.stores if event.kind is EventKind.STORE else seg.loads).insert(event.addr)
-        seg.note_access(event.ordinal)
         return False
 
     def _on_sync(self, event) -> bool:

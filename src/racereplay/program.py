@@ -37,8 +37,7 @@ class Op(IntEnum):
     EXIT = 10
 
 
-# Ops that reference memory / that always act on a sync object.
-MEM_OPS = frozenset((Op.LOAD, Op.STORE))
+# Ops that always act on a sync object / on a thread.
 OBJECT_OPS = frozenset((Op.LOCK, Op.UNLOCK, Op.SEM_WAIT, Op.SEM_POST))
 THREAD_OPS = frozenset((Op.CREATE, Op.JOIN))
 

@@ -36,10 +36,6 @@ class ReplayResult:
     steps: int
     detail: str = ""
 
-    @property
-    def ok(self) -> bool:
-        return self.verdict == OK
-
 
 class _ReplayHooks(ExecutionHooks):
     """The replay gate: a sync op runs once no smaller stamp is unexecuted.

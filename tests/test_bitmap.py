@@ -1,4 +1,4 @@
-"""Bitmap kernels: both backends against reference sets."""
+"""Multilevel bitmap against reference sets."""
 
 import random
 
@@ -6,23 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from racereplay._kernels import bitmap_py
-
-BACKENDS = {"py": bitmap_py}
-try:
-    from racereplay._kernels import bitmap_ext
-    BACKENDS["ext"] = bitmap_ext
-except ImportError:
-    pass
+import racereplay
+from racereplay import bitmap
 
 
-@pytest.fixture(params=sorted(BACKENDS), ids=sorted(BACKENDS))
+@pytest.fixture(params=[racereplay.bitmap_backend])
 def impl(request):
-    return BACKENDS[request.param]
+    """The bitmap module. Parametrised once, by ``bitmap_backend``, so the
+    case ids stay ``name[py]``."""
+    return bitmap
 
 
 def filled(impl, addresses):
-    bm = impl.BitmapCore()
+    bm = impl.MultilevelBitmap()
     for a in addresses:
         bm.insert(a)
     return bm
@@ -58,14 +54,14 @@ def test_level_split_arithmetic(impl):
 
 
 def test_insert_idempotent(impl):
-    bm = impl.BitmapCore()
+    bm = impl.MultilevelBitmap()
     for _ in range(5):
         bm.insert(0x1234)
     assert len(bm) == 1
 
 
 def test_out_of_range_rejected(impl):
-    bm = impl.BitmapCore()
+    bm = impl.MultilevelBitmap()
     with pytest.raises(ValueError):
         bm.insert(1 << 32)
     with pytest.raises(ValueError):
@@ -73,17 +69,17 @@ def test_out_of_range_rejected(impl):
 
 
 def test_fresh_bitmap_contains_nothing(impl):
-    bm = impl.BitmapCore()
+    bm = impl.MultilevelBitmap()
     assert not bm.contains(0)
     assert not bm.contains(0x5000)
     assert bm.is_empty()
-    assert bm.first_common(impl.BitmapCore()) is None
+    assert bm.first_common(impl.MultilevelBitmap()) is None
 
 
 def test_membership_against_reference_set(impl):
     rng = random.Random(20260101)
     reference = set()
-    bm = impl.BitmapCore()
+    bm = impl.MultilevelBitmap()
     for _ in range(100_000):
         a = rng.getrandbits(32)
         reference.add(a)
@@ -118,7 +114,7 @@ def test_first_common_disjoint(impl):
 
 
 def test_race_witnesses_forced_cases(impl):
-    empty = impl.BitmapCore()
+    empty = impl.MultilevelBitmap()
     # store vs load on the same address races
     assert impl.race_witnesses(empty, filled(impl, [0x100]),
                                filled(impl, [0x100]), empty) == [0x100]
@@ -157,7 +153,7 @@ def test_node_accounting_dense_region(impl):
     # mid table and one leaf.
     base = 0x40000000  # 16 KiB aligned (low 14 bits clear)
     rng = random.Random(3)
-    bm = impl.BitmapCore()
+    bm = impl.MultilevelBitmap()
     for _ in range(10_000):
         bm.insert(base + rng.randrange(1 << 14))
     assert bm.node_counts() == (1, 1, 1)
@@ -165,7 +161,7 @@ def test_node_accounting_dense_region(impl):
 
 
 def test_payload_grows_per_node(impl):
-    bm = impl.BitmapCore()
+    bm = impl.MultilevelBitmap()
     assert bm.node_counts() == (1, 0, 0)
     bm.insert(0)
     one = bm.payload_bytes()
@@ -175,18 +171,12 @@ def test_payload_grows_per_node(impl):
     assert bm.payload_bytes() == one + 3 * 2048
 
 
-def test_dump_lines_format(impl):
-    bm = filled(impl, [0xFFFFFFFF, 0x10, 0x2000])
-    assert bm.dump_lines() == ["0x00000010", "0x00002000", "0xFFFFFFFF"]
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.sets(st.integers(min_value=0, max_value=0xFFFFFFFF), max_size=200))
 def test_roundtrip_property(addresses):
-    for impl in BACKENDS.values():
-        bm = filled(impl, addresses)
-        assert bm.addresses() == sorted(addresses)
-        assert len(bm) == len(addresses)
+    bm = filled(bitmap, addresses)
+    assert bm.addresses() == sorted(addresses)
+    assert len(bm) == len(addresses)
 
 
 @settings(max_examples=100, deadline=None)
@@ -194,18 +184,4 @@ def test_roundtrip_property(addresses):
        st.sets(st.integers(min_value=0, max_value=0xFFFF), max_size=60))
 def test_first_common_property(xs, ys):
     expected = min(xs & ys) if xs & ys else None
-    for impl in BACKENDS.values():
-        assert filled(impl, xs).first_common(filled(impl, ys)) == expected
-
-
-@pytest.mark.skipif(len(BACKENDS) < 2, reason="compiled backend unavailable")
-def test_backend_parity_random_workload():
-    rng = random.Random(123)
-    a_py, a_ext = bitmap_py.BitmapCore(), BACKENDS["ext"].BitmapCore()
-    for _ in range(5000):
-        addr = rng.getrandbits(32)
-        a_py.insert(addr)
-        a_ext.insert(addr)
-    assert a_py.addresses() == a_ext.addresses()
-    assert a_py.node_counts() == a_ext.node_counts()
-    assert len(a_py) == len(a_ext)
+    assert filled(bitmap, xs).first_common(filled(bitmap, ys)) == expected

@@ -188,25 +188,9 @@ def test_gen_bad_knob_usage_error(flag, value, message, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_oracle_detect_agrees(racy, tmp_path, capsys):
-    trace = str(tmp_path / "o.trace")
-    assert main(["record", racy, "-o", trace]) == 0
-    assert main(["detect", racy, "--trace", trace]) == 10
-    assert main(["oracle-detect", racy, "--trace", trace]) == 10
-    out = capsys.readouterr().out
-    assert "witnesses=0x00001000" in out
-
-
 def test_console_script_entry_point(racy):
     proc = subprocess.run(
         [sys.executable, "-m", "racereplay.cli", "pipeline", racy],
         capture_output=True, text=True)
     assert proc.returncode == 10
     assert "witness=0x00001000" in proc.stdout
-
-
-def test_bench_smoke(capsys):
-    assert main(["bench", "--inserts", "2000", "--pairs", "20"]) == 0
-    out = capsys.readouterr().out
-    assert "backend" in out
-    assert "py" in out

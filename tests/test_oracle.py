@@ -74,6 +74,7 @@ def test_brute_force_on_shared_counter():
     race = brute_force_detect(events, 3)
     assert race is not None
     assert race.pair_key() == (frozenset({(1, 0), (2, 0)}), frozenset({0x1000}))
+    assert detect(prog, rec.trace).report.pair_key() == race.pair_key()
 
 
 def test_brute_force_clean_on_locked_variant():
