@@ -72,6 +72,11 @@ def _detect_summary(result) -> list:
             ("segments discarded", str(st.segments_discarded))]
 
 
+def _read_trace(path: str, program: Program) -> SyncTrace:
+    """Read a trace whose per-thread counts the program can produce."""
+    return SyncTrace.read(path, max_ops=program.static_sync_counts())
+
+
 def cmd_record(args) -> int:
     program = load_program(args.program)
     rec = record_execution(program, args.seed)
@@ -85,7 +90,7 @@ def cmd_record(args) -> int:
 
 def cmd_replay(args) -> int:
     program = load_program(args.program)
-    trace = SyncTrace.read(args.trace)
+    trace = _read_trace(args.trace, program)
     result = replay_execution(program, trace, replay_seed=args.replay_seed)
     print(f"replay verdict: {result.verdict}"
           + (f" ({result.detail})" if result.detail else ""))
@@ -125,7 +130,7 @@ def _print_detect_outcome(result, program, report_path) -> int:
 
 def cmd_detect(args) -> int:
     program = load_program(args.program)
-    trace = SyncTrace.read(args.trace)
+    trace = _read_trace(args.trace, program)
     result = _run_detect(program, trace, args)
     code = _print_detect_outcome(result, program, args.report)
     for line in summary_lines(_detect_summary(result)):
@@ -135,7 +140,7 @@ def cmd_detect(args) -> int:
 
 def cmd_identify(args) -> int:
     program = load_program(args.program)
-    trace = SyncTrace.read(args.trace)
+    trace = _read_trace(args.trace, program)
     with open(args.report, "rb") as fh:
         data = fh.read()
     try:

@@ -102,6 +102,17 @@ class MatrixClockTracker:
     Row j of thread i's matrix is the latest clock of thread j that has
     causally reached thread i. ``horizon(i)`` is what thread i could
     safely discard by on its own knowledge alone.
+
+    ``apply_sync`` is given ``own_clock``, the thread's vector clock after
+    the op. Joining two matrices then costs O(n), not O(n^2). Row j of any
+    matrix is either all zeros or a clock thread j held after one of its
+    sync ops, since a row is only ever set to the syncing thread's
+    ``own_clock`` or copied from another matrix's row j. Thread j's clocks
+    never decrease, so any two of them are ordered, and each sync op bumps
+    the own component, so two of them with the same ``[j]`` are identical;
+    the zero row is below them all and is the only row with ``[j] == 0``.
+    The componentwise join of two rows j is therefore the row with the
+    larger ``[j]``.
     """
 
     def __init__(self, n_threads: int, n_objects: int):
@@ -109,14 +120,18 @@ class MatrixClockTracker:
         self.threads = [[z] * n_threads for _ in range(n_threads)]
         self.objects = [[z] * n_threads for _ in range(n_objects)]
 
+    @staticmethod
+    def _join(mine, theirs):
+        return [a if a[j] >= b[j] else b
+                for j, (a, b) in enumerate(zip(mine, theirs))]
+
     def apply_sync(self, tid: int, obj: int, acquire: bool, own_clock):
         mine = self.threads[tid]
-        theirs = self.objects[obj]
         if acquire:
-            self.threads[tid] = mine = [vc_join(a, b) for a, b in zip(mine, theirs)]
+            self.threads[tid] = mine = self._join(mine, self.objects[obj])
         mine[tid] = tuple(own_clock)
         if not acquire:
-            self.objects[obj] = [vc_join(a, b) for a, b in zip(theirs, mine)]
+            self.objects[obj] = self._join(self.objects[obj], mine)
 
     def horizon(self, tid: int):
         return column_min(self.threads[tid])

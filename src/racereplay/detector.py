@@ -51,6 +51,8 @@ RACE = "race"
 CLEAN = "clean"
 DIVERGED_NO_RACE = "diverged"
 
+_SYNC_EVENT, _STORE_EVENT = EventKind.SYNC, EventKind.STORE
+
 
 @dataclass
 class Segment:
@@ -160,7 +162,8 @@ class _DetectorState:
     # -- events ---------------------------------------------------------------
 
     def on_event(self, machine, event) -> bool:
-        if event.kind is EventKind.SYNC:
+        kind = event.kind
+        if kind is _SYNC_EVENT:
             self.stats.sync_events += 1
             return self._on_sync(event)
         self.stats.mem_events += 1
@@ -169,17 +172,17 @@ class _DetectorState:
             seg = self.open[event.tid] = Segment(
                 event.tid, self.closed_count[event.tid],
                 MultilevelBitmap(), MultilevelBitmap())
-        (seg.stores if event.kind is EventKind.STORE else seg.loads).insert(event.addr)
+        (seg.stores if kind is _STORE_EVENT else seg.loads).insert(event.addr)
         return False
 
     def _on_sync(self, event) -> bool:
         tid = event.tid
         race_found = self._close_open_segment(tid)
         # Clock updates happen at the sync op itself, after the segment ends.
-        before = self.clocks.apply_sync(tid, event.obj,
-                                        event.sync in ACQUIRE_KINDS)
+        acquire = event.sync in ACQUIRE_KINDS
+        before = self.clocks.apply_sync(tid, event.obj, acquire)
         if self.matrix is not None:
-            self.matrix.apply_sync(tid, event.obj, event.sync in ACQUIRE_KINDS,
+            self.matrix.apply_sync(tid, event.obj, acquire,
                                    self.clocks.threads[tid])
         if self.gc or self.probe:
             self._collect_garbage(tid, before)

@@ -21,6 +21,8 @@ from .program import Program
 from .replay import DIVERGED, replay_execution
 from .tracefile import SyncTrace
 
+_SYNC_EVENT, _STORE_EVENT = EventKind.SYNC, EventKind.STORE
+
 
 @dataclass(frozen=True)
 class InstructionSite:
@@ -44,7 +46,7 @@ class _Collector:
 
     def __call__(self, machine, event) -> bool:
         tid = event.tid
-        if event.kind is EventKind.SYNC:
+        if event.kind is _SYNC_EVENT:
             if self.open.pop(tid, False):
                 if (tid, self.counts.get(tid, 0)) in self.targets:
                     self.closed_targets += 1
@@ -55,7 +57,7 @@ class _Collector:
         self.open[tid] = True
         key = (tid, self.counts.get(tid, 0))
         if key in self.targets and event.addr in self.witnesses:
-            kind = "store" if event.kind is EventKind.STORE else "load"
+            kind = "store" if event.kind is _STORE_EVENT else "load"
             self.targets[key].append((event.ordinal, kind, event.addr))
         return False
 

@@ -45,6 +45,16 @@ step:
   turn True only after a gate step, and only for the threads that
   ``ExecutionHooks.recheck`` names, which are asked again then. The
   default names every refused thread.
+
+``Machine.run`` is the one step loop. It inlines the splitmix64 draw and
+runs plain steps itself, with the machine's state in local variables and
+events built straight from tuples; only gate steps call out, to ``_step``
+and ``_after_gate``. With one runnable thread the draw's output is not
+mixed (any value mod 1 is 0), but the state still advances, so the
+generator state after ``s`` steps is ``seed + s * _GOLDEN`` mod 2**64
+whichever threads ran. ``pc``, ``regs``, ``memory`` and ``status`` are
+current whenever a hook runs; ``steps`` and the generator state are
+written back when ``run`` returns or raises.
 """
 
 from __future__ import annotations
@@ -61,7 +71,10 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 
 def splitmix64(state: int) -> tuple[int, int]:
-    """One splitmix64 step: returns (next state, output value)."""
+    """One splitmix64 step: returns (next state, output value).
+
+    ``Machine.run`` inlines this step; this function is the reference.
+    """
     state = (state + _GOLDEN) & MASK64
     z = state
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
@@ -102,6 +115,14 @@ _OP_SYNC = {
     Op.JOIN: SyncKind.JOIN,
 }
 
+# Enum members read once or more per step, bound as module globals: reading
+# one through its class costs about four times a global lookup.
+_LOAD, _STORE, _ADDI, _SET = Op.LOAD, Op.STORE, Op.ADDI, Op.SET
+_LOCK, _UNLOCK, _SEM_WAIT, _SEM_POST = Op.LOCK, Op.UNLOCK, Op.SEM_WAIT, Op.SEM_POST
+_CREATE, _JOIN, _EXIT = Op.CREATE, Op.JOIN, Op.EXIT
+_LOAD_EVENT, _STORE_EVENT, _SYNC_EVENT = EventKind.LOAD, EventKind.STORE, EventKind.SYNC
+_START_SYNC, _EXIT_SYNC = SyncKind.START, SyncKind.EXIT
+
 
 class Event(NamedTuple):
     seq: int          # global sequence number, strictly increasing
@@ -111,6 +132,10 @@ class Event(NamedTuple):
     ordinal: int      # per-thread instruction index; -1 for START
     obj: int          # sync object id, -1 unless SYNC
     sync: int         # SyncKind value, -1 unless SYNC
+
+
+# Builds an Event from a 7-tuple without the NamedTuple's Python-level __new__.
+_new_tuple = tuple.__new__
 
 
 class ExecutionHooks:
@@ -157,6 +182,9 @@ class _Status(IntEnum):
     EXITED = 2
 
 
+_READY, _EXITED = _Status.READY, _Status.EXITED
+
+
 class Machine:
     def __init__(self, program: Program, seed: int, hooks: Optional[ExecutionHooks] = None):
         if not 0 <= seed <= MASK64:
@@ -166,7 +194,7 @@ class Machine:
         self._rng = seed
         n = program.n_threads
         self.status = [_Status.NEW] * n
-        self.status[MAIN_THREAD] = _Status.READY
+        self.status[MAIN_THREAD] = _READY
         self.needs_start = [False] * n
         self.pc = [0] * n
         self.regs = [[0] * NUM_REGISTERS for _ in range(n)]
@@ -186,22 +214,26 @@ class Machine:
 
     def next_sync(self, tid: int):
         """(SyncKind, object id) if the thread's next step is a sync op, else None."""
+        prog = self.program
         if self.needs_start[tid]:
-            return SyncKind.START, self.program.create_obj[tid]
-        ins = self.program.threads[tid][self.pc[tid]]
-        if ins.op is Op.EXIT:
-            if tid in self.program.join_targets:
-                return SyncKind.EXIT, self.program.exit_obj[tid]
+            return _START_SYNC, prog.create_obj[tid]
+        op, a, _ = prog.threads[tid][self.pc[tid]]
+        if op is _EXIT:
+            if tid in prog.join_targets:
+                return _EXIT_SYNC, prog.exit_obj[tid]
             return None
-        kind = _OP_SYNC.get(ins.op)
+        kind = _OP_SYNC.get(op)
         if kind is None:
             return None
-        if ins.op in (Op.CREATE, Op.JOIN):
-            obj = (self.program.create_obj[ins.a] if ins.op is Op.CREATE
-                   else self.program.exit_obj.get(ins.a, -1))
-        else:
-            obj = ins.a
-        return kind, obj
+        return kind, self._sync_obj(op, a)
+
+    def _sync_obj(self, op, a: int) -> int:
+        """The object a sync instruction acts on."""
+        if op is _CREATE:
+            return self.program.create_obj[a]
+        if op is _JOIN:
+            return self.program.exit_obj.get(a, -1)
+        return a
 
     # -- scheduling ----------------------------------------------------------
 
@@ -224,15 +256,14 @@ class Machine:
         bit = 1 << tid
         self.permitted &= ~bit
         if not self.needs_start[tid]:
-            ins = self.program.threads[tid][self.pc[tid]]
-            op = ins.op
-            if op is Op.LOCK:
-                obj, free = ins.a, self.mutex_owner[ins.a] is None
-            elif op is Op.SEM_WAIT:
-                obj, free = ins.a, self.sem_count[ins.a] > 0
-            elif op is Op.JOIN:
-                obj = self.program.exit_obj[ins.a]
-                free = self.status[ins.a] is _Status.EXITED
+            op, a, _ = self.program.threads[tid][self.pc[tid]]
+            if op is _LOCK:
+                obj, free = a, self.mutex_owner[a] is None
+            elif op is _SEM_WAIT:
+                obj, free = a, self.sem_count[a] > 0
+            elif op is _JOIN:
+                obj = self.program.exit_obj[a]
+                free = self.status[a] is _EXITED
             elif op in _PLAIN_OPS:
                 self.permitted |= bit
                 return
@@ -256,23 +287,24 @@ class Machine:
         bit = 1 << tid
         waiters = self.waiters
         ask = 0
+        op = None
         if ins is not None:
-            op, a = ins.op, ins.a
-            if op is Op.LOCK:
+            op, a, _ = ins
+            if op is _LOCK:
                 waiters[a] &= ~bit
                 self.blocked |= waiters[a]
-            elif op is Op.UNLOCK:
+            elif op is _UNLOCK:
                 ask = self._release(a)
-            elif op is Op.SEM_WAIT:
+            elif op is _SEM_WAIT:
                 waiters[a] &= ~bit
                 if self.sem_count[a] == 0:
                     self.blocked |= waiters[a]
-            elif op is Op.SEM_POST:
+            elif op is _SEM_POST:
                 if self.sem_count[a] == 1:
                     ask = self._release(a)
-            elif op is Op.JOIN:
+            elif op is _JOIN:
                 waiters[self.program.exit_obj[a]] &= ~bit
-            elif op is Op.EXIT:
+            elif op is _EXIT:
                 self.permitted &= ~bit
                 if tid in self.program.join_targets:
                     ask = self._release(self.program.exit_obj[tid])
@@ -282,11 +314,11 @@ class Machine:
             ask |= again & ~self.blocked
         if ask:
             self._ask(ask)
-        if ins is not None and ins.op is Op.CREATE:
-            self._arrive(ins.a)
+        if op is _CREATE:
+            self._arrive(a)
         # The thread just ran, so it is permitted: a plain next op keeps it so.
-        if self.status[tid] is not _Status.EXITED and \
-                self.program.threads[tid][self.pc[tid]].op not in _PLAIN_OPS:
+        if op is not _EXIT and \
+                self.program.threads[tid][self.pc[tid]][0] not in _PLAIN_OPS:
             self._arrive(tid)
 
     def _block_reason(self, tid: int):
@@ -324,109 +356,127 @@ class Machine:
 
     # -- execution -----------------------------------------------------------
 
-    def _emit(self, tid, kind, addr=-1, ordinal=-1, obj=-1, sync=-1):
-        ev = Event(len(self.events), tid, kind, addr, ordinal, obj, sync)
-        self.events.append(ev)
+    def _step(self, tid: int, ins):
+        """Execute one gate step: START (``ins`` None), a sync op or EXIT.
+
+        Plain steps run inline in ``run``. Returns truthy when a hook
+        requested a stop.
+        """
+        prog = self.program
+        if ins is None:
+            self.needs_start[tid] = False
+            ordinal, obj, sync = -1, prog.create_obj[tid], _START_SYNC
+        else:
+            op, a, _ = ins
+            ordinal = self.pc[tid]
+            if op is _EXIT:
+                self.status[tid] = _EXITED
+                if tid not in prog.join_targets:
+                    return None
+                obj, sync = prog.exit_obj[tid], _EXIT_SYNC
+            else:
+                if op is _LOCK:
+                    self.mutex_owner[a] = tid
+                elif op is _UNLOCK:
+                    if self.mutex_owner[a] != tid:
+                        raise MachineError(
+                            f"thread {tid} unlocks {prog.obj_names[a]} it does not hold")
+                    self.mutex_owner[a] = None
+                elif op is _SEM_WAIT:
+                    self.sem_count[a] -= 1
+                elif op is _SEM_POST:
+                    self.sem_count[a] += 1
+                elif op is _CREATE:
+                    self.status[a] = _READY
+                    self.needs_start[a] = True
+                obj, sync = self._sync_obj(op, a), _OP_SYNC[op]
+                self.pc[tid] = ordinal + 1
+        self.sync_done[tid] += 1
+        events = self.events
+        ev = _new_tuple(Event, (len(events), tid, _SYNC_EVENT, -1, ordinal, obj, sync))
+        events.append(ev)
         if self.hooks is not None:
             return self.hooks.on_event(self, ev)
         return None
 
-    def _step(self, tid: int):
-        """Execute one step; returns truthy when a hook requested a stop."""
-        prog = self.program
-        if self.needs_start[tid]:
-            self.needs_start[tid] = False
-            self.sync_done[tid] += 1
-            return self._emit(tid, EventKind.SYNC, obj=prog.create_obj[tid],
-                              sync=SyncKind.START)
-        pc = self.pc[tid]
-        ins = prog.threads[tid][pc]
-        op = ins.op
-        if op is Op.LOAD:
-            self.regs[tid][ins.a] = self.memory.get(ins.b, 0)
-            self.pc[tid] = pc + 1
-            return self._emit(tid, EventKind.LOAD, addr=ins.b, ordinal=pc)
-        if op is Op.STORE:
-            self.memory[ins.b] = self.regs[tid][ins.a]
-            self.pc[tid] = pc + 1
-            return self._emit(tid, EventKind.STORE, addr=ins.b, ordinal=pc)
-        if op is Op.ADDI:
-            self.regs[tid][ins.a] = (self.regs[tid][ins.a] + ins.b) & WORD_MASK
-            self.pc[tid] = pc + 1
-            return None
-        if op is Op.SET:
-            self.regs[tid][ins.a] = ins.b & WORD_MASK
-            self.pc[tid] = pc + 1
-            return None
-        if op is Op.EXIT:
-            self.status[tid] = _Status.EXITED
-            if tid in prog.join_targets:
-                self.sync_done[tid] += 1
-                return self._emit(tid, EventKind.SYNC, ordinal=pc,
-                                  obj=prog.exit_obj[tid], sync=SyncKind.EXIT)
-            return None
-
-        # Remaining ops are sync instructions with one event each.
-        if op is Op.LOCK:
-            self.mutex_owner[ins.a] = tid
-            obj, sync = ins.a, SyncKind.LOCK
-        elif op is Op.UNLOCK:
-            if self.mutex_owner[ins.a] != tid:
-                raise MachineError(
-                    f"thread {tid} unlocks {prog.obj_names[ins.a]} it does not hold")
-            self.mutex_owner[ins.a] = None
-            obj, sync = ins.a, SyncKind.UNLOCK
-        elif op is Op.SEM_WAIT:
-            self.sem_count[ins.a] -= 1
-            obj, sync = ins.a, SyncKind.SEM_WAIT
-        elif op is Op.SEM_POST:
-            self.sem_count[ins.a] += 1
-            obj, sync = ins.a, SyncKind.SEM_POST
-        elif op is Op.CREATE:
-            self.status[ins.a] = _Status.READY
-            self.needs_start[ins.a] = True
-            obj, sync = prog.create_obj[ins.a], SyncKind.CREATE
-        else:  # JOIN
-            obj, sync = prog.exit_obj.get(ins.a, -1), SyncKind.JOIN
-        self.pc[tid] = pc + 1
-        self.sync_done[tid] += 1
-        return self._emit(tid, EventKind.SYNC, ordinal=pc, obj=obj, sync=sync)
-
     def run(self) -> RunResult:
-        threads, pc, needs_start = self.program.threads, self.pc, self.needs_start
-        live = sum(s is not _Status.EXITED for s in self.status)
+        """Run to completion, a hook's stop request, or a deadlock.
+
+        The fused step loop; see the module docstring.
+        """
+        threads, pc, regs = self.program.threads, self.pc, self.regs
+        needs_start, memory, events = self.needs_start, self.memory, self.events
+        append = events.append
+        on_event = None if self.hooks is None else self.hooks.on_event
+        live = sum(s is not _EXITED for s in self.status)
         self._arrive(MAIN_THREAD)
         runnable = self.permitted & ~self.blocked
         ids = _bit_ids(runnable)
-        while live:
-            if not ids:
-                raise DeadlockError(self._blocked_report(), self.events,
-                                    self.memory, self.steps)
-            self._rng, draw = splitmix64(self._rng)
-            tid = ids[draw % len(ids)]
-            self.steps += 1
-            if needs_start[tid]:
-                ins = None
-            else:
-                ins = threads[tid][pc[tid]]
-                if ins.op in _PLAIN_OPS:
-                    if self._step(tid):
-                        return RunResult(self.memory, self.events, self.steps, stopped=True)
-                    if threads[tid][pc[tid]].op not in _PLAIN_OPS:
-                        self._arrive(tid)
-                        now = self.permitted & ~self.blocked
-                        if now != runnable:
-                            runnable, ids = now, _bit_ids(now)
+        k = len(ids)
+        rng, steps = self._rng, self.steps
+        try:
+            while live:
+                if not k:
+                    raise DeadlockError(self._blocked_report(), events, memory, steps)
+                rng = (rng + _GOLDEN) & MASK64  # splitmix64, inlined
+                if k == 1:
+                    tid = ids[0]
+                else:
+                    z = ((rng ^ (rng >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+                    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+                    tid = ids[(z ^ (z >> 31)) % k]
+                steps += 1
+                if needs_start[tid]:
+                    op = ins = None
+                else:
+                    body = threads[tid]
+                    p = pc[tid]
+                    op, a, b = ins = body[p]
+                if op is _LOAD:
+                    regs[tid][a] = memory.get(b, 0)
+                    pc[tid] = p + 1
+                    ev = _new_tuple(Event, (len(events), tid, _LOAD_EVENT, b, p, -1, -1))
+                    append(ev)
+                    if on_event is not None and on_event(self, ev):
+                        return RunResult(memory, events, steps, stopped=True)
+                elif op is _STORE:
+                    memory[b] = regs[tid][a]
+                    pc[tid] = p + 1
+                    ev = _new_tuple(Event, (len(events), tid, _STORE_EVENT, b, p, -1, -1))
+                    append(ev)
+                    if on_event is not None and on_event(self, ev):
+                        return RunResult(memory, events, steps, stopped=True)
+                elif op is _ADDI:
+                    r = regs[tid]
+                    r[a] = (r[a] + b) & WORD_MASK
+                    pc[tid] = p + 1
+                elif op is _SET:
+                    regs[tid][a] = b & WORD_MASK
+                    pc[tid] = p + 1
+                else:
+                    if self._step(tid, ins):
+                        return RunResult(memory, events, steps, stopped=True)
+                    if op is _EXIT:
+                        live -= 1
+                    self._after_gate(tid, ins)
+                    now = self.permitted & ~self.blocked
+                    if now != runnable:
+                        runnable = now
+                        ids = _bit_ids(now)
+                        k = len(ids)
                     continue
-            if self._step(tid):
-                return RunResult(self.memory, self.events, self.steps, stopped=True)
-            if self.status[tid] is _Status.EXITED:
-                live -= 1
-            self._after_gate(tid, ins)
-            now = self.permitted & ~self.blocked
-            if now != runnable:
-                runnable, ids = now, _bit_ids(now)
-        return RunResult(self.memory, self.events, self.steps)
+                # A plain step changes the runnable mask only when it brings
+                # its thread to a gate op.
+                if body[p + 1][0] not in _PLAIN_OPS:
+                    self._arrive(tid)
+                    now = self.permitted & ~self.blocked
+                    if now != runnable:
+                        runnable = now
+                        ids = _bit_ids(now)
+                        k = len(ids)
+            return RunResult(memory, events, steps)
+        finally:
+            self._rng, self.steps = rng, steps
 
 
 def _bit_ids(mask: int) -> list:

@@ -40,6 +40,10 @@ class Op(IntEnum):
 # Ops that always act on a sync object / on a thread.
 OBJECT_OPS = frozenset((Op.LOCK, Op.UNLOCK, Op.SEM_WAIT, Op.SEM_POST))
 THREAD_OPS = frozenset((Op.CREATE, Op.JOIN))
+_ADDRESS_OPS = frozenset((Op.LOAD, Op.STORE))
+_CONSTANT_OPS = frozenset((Op.ADDI, Op.SET))
+# Mnemonics by op; reading ``Op.name`` goes through a Python-level property.
+_OP_NAMES = {op: op.name for op in Op}
 
 
 class Instruction(NamedTuple):
@@ -73,6 +77,17 @@ class Program:
     def sem_initials(self):
         return {oid: init for oid, init in self.semaphores.values()}
 
+    def static_sync_counts(self) -> list:
+        """Per thread, the most sync events a run can emit for it.
+
+        That is one per sync instruction, plus START for a created thread
+        and EXIT for a join target. Bodies are straight-line, so each
+        instruction runs at most once.
+        """
+        return [sum(ins.op in OBJECT_OPS or ins.op in THREAD_OPS for ins in body)
+                + (tid != MAIN_THREAD) + (tid in self.join_targets)
+                for tid, body in enumerate(self.threads)]
+
     def instruction_text(self, tid: int, ordinal: int) -> str:
         return render_instruction(self, self.threads[tid][ordinal])
 
@@ -85,10 +100,14 @@ class Program:
             out.append(f"sem {name} {self.semaphores[name][1]}")
         for addr in sorted(self.initial_memory):
             out.append(f"mem 0x{addr:08X} {self.initial_memory[addr]}")
+        rendered = {}  # straight-line bodies repeat instructions often
         for tid, body in enumerate(self.threads):
             out.append(f"thread {tid}:")
             for ins in body:
-                out.append("  " + render_instruction(self, ins))
+                line = rendered.get(ins)
+                if line is None:
+                    line = rendered[ins] = "  " + render_instruction(self, ins)
+                out.append(line)
         return "\n".join(out) + "\n"
 
     def digest(self) -> bytes:
@@ -101,15 +120,15 @@ class Program:
 
 
 def render_instruction(program: Program, ins: Instruction) -> str:
-    op = ins.op
-    if op in (Op.LOAD, Op.STORE):
-        return f"{op.name} r{ins.a} 0x{ins.b:08X}"
-    if op in (Op.ADDI, Op.SET):
-        return f"{op.name} r{ins.a} {ins.b}"
+    op, a, b = ins
+    if op in _ADDRESS_OPS:
+        return f"{_OP_NAMES[op]} r{a} 0x{b:08X}"
+    if op in _CONSTANT_OPS:
+        return f"{_OP_NAMES[op]} r{a} {b}"
     if op in OBJECT_OPS:
-        return f"{op.name} {program.obj_names[ins.a].split(':', 1)[1]}"
+        return f"{_OP_NAMES[op]} {program.obj_names[a].split(':', 1)[1]}"
     if op in THREAD_OPS:
-        return f"{op.name} {ins.a}"
+        return f"{_OP_NAMES[op]} {a}"
     return "EXIT"
 
 

@@ -17,6 +17,8 @@ from .machine import EventKind, run
 from .program import Program
 from .tracefile import SyncTrace
 
+_SYNC_EVENT = EventKind.SYNC
+
 
 @dataclass
 class RecordResult:
@@ -36,7 +38,7 @@ def assign_timestamps(events, n_threads: int, n_objects: int):
     object_ts = [0] * n_objects
     stamps = [[] for _ in range(n_threads)]
     for ev in events:
-        if ev.kind is not EventKind.SYNC:
+        if ev.kind is not _SYNC_EVENT:
             continue
         ts = lamport_advance(thread_ts[ev.tid], object_ts[ev.obj])
         thread_ts[ev.tid] = ts

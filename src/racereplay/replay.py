@@ -27,6 +27,8 @@ OK = "OK"
 DIVERGED = "DIVERGED"
 STOPPED = "STOPPED"
 
+_SYNC_EVENT = EventKind.SYNC
+
 
 @dataclass
 class ReplayResult:
@@ -101,7 +103,7 @@ class _ReplayHooks(ExecutionHooks):
         return due
 
     def on_event(self, machine: Machine, event: Event):
-        if event.kind is EventKind.SYNC:
+        if event.kind is _SYNC_EVENT:
             ts = self.stamps[event.tid][self.done[event.tid]]
             self.done[event.tid] += 1
             self.remaining[ts] -= 1

@@ -120,7 +120,14 @@ class SyncTrace:
         return bytes(out)
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "SyncTrace":
+    def from_bytes(cls, data: bytes, max_ops=None) -> "SyncTrace":
+        """Decode a trace file's bytes.
+
+        ``max_ops[tid]``, when given, caps each thread's sync-op count (a
+        thread past the list gets 0); a larger claim is rejected before any
+        list of stamps is built, so a short file cannot ask for unbounded
+        memory.
+        """
         if data[:5] != MAGIC:
             raise TraceFormatError("bad magic (not a trace file)")
         pos = 5
@@ -138,6 +145,12 @@ class SyncTrace:
             if tid != expect_tid:
                 raise TraceFormatError(f"thread sections out of order at {tid}")
             count, pos = decode_varint(data, pos)
+            if max_ops is not None:
+                cap = max_ops[tid] if tid < len(max_ops) else 0
+                if count > cap:
+                    raise TraceFormatError(
+                        f"thread {tid} claims {count} sync ops; "
+                        f"the program has at most {cap}")
             n_exc, pos = decode_varint(data, pos)
             exceptions = []
             for _ in range(n_exc):
@@ -156,9 +169,9 @@ class SyncTrace:
         return len(blob)
 
     @classmethod
-    def read(cls, path: str) -> "SyncTrace":
+    def read(cls, path: str, max_ops=None) -> "SyncTrace":
         with open(path, "rb") as fh:
-            return cls.from_bytes(fh.read())
+            return cls.from_bytes(fh.read(), max_ops)
 
     def bits_per_op(self) -> float:
         ops = self.total_ops

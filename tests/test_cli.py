@@ -110,6 +110,26 @@ def test_non_utf8_report_usage_error(racy, tmp_path, capsys):
     assert "not UTF-8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["replay", "detect"])
+def test_trace_claiming_a_billion_ops_rejected(command, tmp_path, capsys):
+    # 46 bytes: magic, one thread, seed 0, the program's digest, then thread
+    # 0 claiming 10^9 sync ops with no exceptions. The program allows 1.
+    from racereplay.program import parse_program
+    from racereplay.tracefile import MAGIC, encode_varint
+    prog_text = "mutex m\nthread 0:\n  LOCK m\n  EXIT\n"
+    path = tmp_path / "p.prog"
+    path.write_text(prog_text)
+    blob = (MAGIC + encode_varint(1) + encode_varint(0)
+            + parse_program(prog_text).digest()
+            + encode_varint(0) + encode_varint(10**9) + encode_varint(0))
+    assert len(blob) == 46
+    trace_path = tmp_path / "huge.trace"
+    trace_path.write_bytes(blob)
+    assert main([command, str(path), "--trace", str(trace_path)]) == 1
+    assert "claims 1000000000 sync ops; the program has at most 1" in \
+        capsys.readouterr().err
+
+
 def test_record_then_replay_exit_codes(clean, tmp_path, capsys):
     trace = str(tmp_path / "c.trace")
     assert main(["record", clean, "--seed", "4", "-o", trace]) == 0

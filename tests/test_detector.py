@@ -6,8 +6,8 @@ from _helpers import replay_events
 
 import racereplay.detector as detector_mod
 from racereplay import workloads
-from racereplay.clocks import (Ordering, column_min, vc_compare,
-                               vc_strictly_below)
+from racereplay.clocks import (MatrixClockTracker, Ordering, column_min,
+                               vc_compare, vc_join, vc_strictly_below)
 from racereplay.detector import CLEAN, DIVERGED_NO_RACE, RACE, detect
 from racereplay.generator import generate_program
 from racereplay.oracle import brute_force_detect
@@ -120,6 +120,38 @@ def test_overlapping_ping_pong_shows_strict_gain():
     rec = record_execution(prog, 0)
     result = detect(prog, rec.trace, probe=True)
     assert any(snooped < logical for _, snooped, logical in result.probe_rows)
+
+
+class _JoinEveryRow(MatrixClockTracker):
+    """The matrix join as the componentwise ``vc_join`` of every row."""
+
+    def apply_sync(self, tid, obj, acquire, own_clock):
+        mine, theirs = self.threads[tid], self.objects[obj]
+        if acquire:
+            self.threads[tid] = mine = [vc_join(a, b) for a, b in zip(mine, theirs)]
+        mine[tid] = tuple(own_clock)
+        if not acquire:
+            self.objects[obj] = [vc_join(a, b) for a, b in zip(theirs, mine)]
+
+
+def test_probe_rows_match_the_full_join(monkeypatch):
+    # The tracker joins a row by taking the one with the larger own
+    # component; the probe must count exactly what the full join gives.
+    texts = list(_corpus(24, 900))
+    texts += [generate_program(950 + i, threads=12, ops_per_thread=24,
+                               lock_density=density)
+              for i, density in enumerate((0.5, 1.0))]
+    texts += [workloads.ping_pong(30, slack=3), workloads.producer_consumer(40, 3)]
+    fast = []
+    for text in texts:
+        prog = parse_program(text)
+        rec = record_execution(prog, 1)
+        fast.append((prog, rec.trace, detect(prog, rec.trace, probe=True,
+                                             all_races=True).probe_rows))
+    monkeypatch.setattr(detector_mod, "MatrixClockTracker", _JoinEveryRow)
+    for prog, trace, rows in fast:
+        assert rows
+        assert detect(prog, trace, probe=True, all_races=True).probe_rows == rows
 
 
 def test_single_thread_probe_counts_bounded():

@@ -8,7 +8,8 @@ from racereplay import machine as machine_mod
 from racereplay import workloads
 from racereplay.errors import DeadlockError, MachineError
 from racereplay.generator import generate_program
-from racereplay.machine import EventKind, SyncKind, run, splitmix64
+from racereplay.machine import (_GOLDEN, MASK64, EventKind, ExecutionHooks,
+                                Machine, SyncKind, run, splitmix64)
 from racereplay.program import parse_program
 
 
@@ -29,6 +30,54 @@ def test_splitmix64_reference_sequence():
         assert va == vb
     state, first = splitmix64(0)
     assert first == 0xE220A8397B1DCDAF  # widely published first output
+
+
+def _ends_with(text, seed, hooks=None):
+    machine = Machine(parse_program(text), seed, hooks)
+    try:
+        assert machine.run().steps == machine.steps
+    except (DeadlockError, MachineError):
+        pass
+    return machine
+
+
+def test_rng_state_is_exact_after_run():
+    # Main runs alone (one runnable thread, so the draw's output is not
+    # mixed), then beside its worker (two runnable), then alone again. The
+    # state must advance once per step either way.
+    text = ("thread 0:\n  SET r0 1\n  ADDI r0 2\n  CREATE 1\n"
+            + "  STORE r0 0x00000010\n" * 8 + "  JOIN 1\n  LOAD r0 0x00000014\n"
+            "  EXIT\nthread 1:\n" + "  STORE r0 0x00000014\n" * 8 + "  EXIT\n")
+    interleaved = False
+    for seed in (0, 5, 2**63 + 3, MASK64):
+        machine = _ends_with(text, seed)
+        tids = [e.tid for e in machine.events]
+        first, last = tids.index(1), len(tids) - 1 - tids[::-1].index(1)
+        interleaved |= 0 in tids[first:last]
+        assert machine.steps == 3 + 8 + 1 + 1 + 1 + 8 + 1 + 1
+        assert machine._rng == (seed + machine.steps * _GOLDEN) & MASK64
+    assert interleaved
+
+
+class _StopAtMemory(ExecutionHooks):
+    def on_event(self, machine, event):
+        return event.kind is not EventKind.SYNC
+
+
+@pytest.mark.parametrize("text, hooks, steps", [
+    ("mutex m\nthread 0:\n  SET r0 1\n  UNLOCK m\n  EXIT\n", None, 2),
+    ("mutex m\nthread 0:\n  LOCK m\n  ADDI r0 1\n  LOCK m\n  EXIT\n", None, 2),
+    ("thread 0:\n  SET r0 1\n  STORE r0 0x00000010\n  SET r0 2\n  EXIT\n",
+     _StopAtMemory(), 2),
+    ("thread 0:\n  SET r0 1\n  LOAD r0 0x00000010\n  SET r0 2\n  EXIT\n",
+     _StopAtMemory(), 2),
+])
+def test_steps_and_rng_exact_when_run_ends_early(text, hooks, steps):
+    # A MachineError, a deadlock and a hook's stop request at each kind of
+    # memory step.
+    machine = _ends_with(text, 11, hooks)
+    assert machine.steps == steps
+    assert machine._rng == (11 + steps * _GOLDEN) & MASK64
 
 
 def test_single_thread_store():

@@ -114,6 +114,37 @@ def test_canonical_text_stable_under_formatting():
     assert a.digest() == b.digest()
 
 
+def test_canonical_text_pinned_byte_for_byte():
+    # Every op, two mutexes declared out of order, a semaphore's initial
+    # count and a mem line; constants are stored as 32-bit words.
+    text = ("mutex zed\nmutex a\nsem s 2\nmem 0x20 -1\n"
+            "thread 0:\n  SET r1 -5\n  ADDI r15 3\n  STORE r1 0x20\n"
+            "  CREATE 1\n  LOCK zed\n  LOAD r2 0xABCDEF\n  UNLOCK zed\n"
+            "  SEM_POST s\n  JOIN 1\n  EXIT\n"
+            "thread 1:\n  SEM_WAIT s\n  LOCK a\n  UNLOCK a\n  EXIT\n")
+    assert parse_program(text).canonical_text() == (
+        "mutex a\n"
+        "mutex zed\n"
+        "sem s 2\n"
+        "mem 0x00000020 4294967295\n"
+        "thread 0:\n"
+        "  SET r1 4294967291\n"
+        "  ADDI r15 3\n"
+        "  STORE r1 0x00000020\n"
+        "  CREATE 1\n"
+        "  LOCK zed\n"
+        "  LOAD r2 0x00ABCDEF\n"
+        "  UNLOCK zed\n"
+        "  SEM_POST s\n"
+        "  JOIN 1\n"
+        "  EXIT\n"
+        "thread 1:\n"
+        "  SEM_WAIT s\n"
+        "  LOCK a\n"
+        "  UNLOCK a\n"
+        "  EXIT\n")
+
+
 def test_digest_differs_between_programs():
     a = parse_program(workloads.shared_counter())
     b = parse_program(workloads.shared_counter(locked=True))

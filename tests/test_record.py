@@ -1,6 +1,7 @@
 """Record phase: sync tracing without schedule perturbation."""
 
 from racereplay import workloads
+from racereplay.generator import generate_program
 from racereplay.machine import EventKind, run
 from racereplay.program import parse_program
 from racereplay.record import record_execution
@@ -15,6 +16,17 @@ def test_shared_counter_records_eight_sync_events():
         assert rec.sync_ops == 8
         assert len(rec.trace.stamps) == 3
         assert len(rec.trace.stamps[0]) == 4  # both creates, both joins
+
+
+def test_static_sync_counts_are_exact_for_complete_runs():
+    texts = [workloads.shared_counter(), workloads.ping_pong(7, slack=2),
+             workloads.producer_consumer(12, 3), workloads.contended_counter(3, 4)]
+    texts += [generate_program(40 + i, threads=2 + i, ops_per_thread=30,
+                               lock_density=0.5) for i in range(4)]
+    for text in texts:
+        prog = parse_program(text)
+        rec = record_execution(prog, 2)
+        assert [len(s) for s in rec.trace.stamps] == prog.static_sync_counts()
 
 
 def test_sync_free_program_records_empty_trace():

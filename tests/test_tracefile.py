@@ -112,6 +112,16 @@ def test_trace_truncation_rejected():
         SyncTrace.from_bytes(blob[:-1])
 
 
+def test_trace_counts_capped_before_decoding():
+    blob = _sample_trace().to_bytes()
+    assert SyncTrace.from_bytes(blob, max_ops=[4, 2, 2]).stamps == \
+        _sample_trace().stamps
+    with pytest.raises(TraceFormatError, match="thread 0 claims 4 sync ops"):
+        SyncTrace.from_bytes(blob, max_ops=[3, 2, 2])
+    with pytest.raises(TraceFormatError, match="thread 2 claims 2"):
+        SyncTrace.from_bytes(blob, max_ops=[4, 2])
+
+
 def test_empty_trace_valid():
     trace = SyncTrace(seed=0, digest=bytes(32), stamps=[[]])
     again = SyncTrace.from_bytes(trace.to_bytes())
