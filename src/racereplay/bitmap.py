@@ -3,17 +3,19 @@ load and store sets.
 
 Each set covers the full 32-bit space. The top 9 address bits index a
 root directory, the next 9 bits a second-level table, and the low 14 bits
-a bit inside a 16384-bit (2 KiB) leaf. Tables are materialised only for
-populated subtrees, so dense local access patterns cost a handful of 2 KiB
+a bit inside a 16384-bit leaf. Tables are materialised only for
+populated subtrees, so dense local access patterns cost a handful of
 nodes instead of the 512 MB a flat bitmap would need.
 
-Lookup tables are Python dicts rather than 512-slot arrays; storage is
-still accounted as 2 KiB per materialised node (root, table or leaf).
+Lookup tables are Python dicts rather than 512-slot arrays, and each leaf
+is a Python int used as a 16384-bit set, which takes only as many bytes
+as its highest member needs. Storage is still accounted as 2 KiB per
+materialised node (root, table or leaf): the size of a 16384-bit leaf,
+or of a 512-slot table of 32-bit entries.
 """
 
 from __future__ import annotations
 
-LEAF_BYTES = 2048
 NODE_PAYLOAD = 2048  # modeled bytes per node (root, table, or leaf)
 
 _ADDR_MASK = 0xFFFFFFFF
@@ -25,7 +27,7 @@ class MultilevelBitmap:
     __slots__ = ("_root", "_count")
 
     def __init__(self):
-        self._root = {}  # root index -> {mid index -> bytearray leaf}
+        self._root = {}  # root index -> {mid index -> int leaf bitset}
         self._count = 0
 
     # -- mutation / lookup ----------------------------------------------------
@@ -34,24 +36,18 @@ class MultilevelBitmap:
         if not 0 <= addr <= _ADDR_MASK:
             raise ValueError(f"address {addr:#x} outside 32-bit range")
         mid = self._root.setdefault(addr >> 23, {})
-        leaf = mid.get((addr >> 14) & 0x1FF)
-        if leaf is None:
-            leaf = mid[(addr >> 14) & 0x1FF] = bytearray(LEAF_BYTES)
-        bit = addr & 0x3FFF
-        mask = 1 << (bit & 7)
-        if not leaf[bit >> 3] & mask:
-            leaf[bit >> 3] |= mask
+        m = (addr >> 14) & 0x1FF
+        leaf = mid.get(m, 0)
+        bit = 1 << (addr & 0x3FFF)
+        if not leaf & bit:
+            mid[m] = leaf | bit
             self._count += 1
 
     def contains(self, addr: int) -> bool:
         mid = self._root.get(addr >> 23)
         if mid is None:
             return False
-        leaf = mid.get((addr >> 14) & 0x1FF)
-        if leaf is None:
-            return False
-        bit = addr & 0x3FFF
-        return bool(leaf[bit >> 3] & (1 << (bit & 7)))
+        return bool(mid.get((addr >> 14) & 0x1FF, 0) >> (addr & 0x3FFF) & 1)
 
     __contains__ = contains
 
@@ -68,8 +64,7 @@ class MultilevelBitmap:
         for r in sorted(self._root.keys() & other._root.keys()):
             mine, theirs = self._root[r], other._root[r]
             for m in sorted(mine.keys() & theirs.keys()):
-                both = (int.from_bytes(mine[m], "little")
-                        & int.from_bytes(theirs[m], "little"))
+                both = mine[m] & theirs[m]
                 if both:
                     bit = (both & -both).bit_length() - 1
                     return (r << 23) | (m << 14) | bit
@@ -81,7 +76,7 @@ class MultilevelBitmap:
         for r in sorted(self._root):
             for m in sorted(self._root[r]):
                 base = (r << 23) | (m << 14)
-                word = int.from_bytes(self._root[r][m], "little")
+                word = self._root[r][m]
                 while word:
                     low = word & -word
                     out.append(base | (low.bit_length() - 1))
@@ -113,10 +108,10 @@ def race_witnesses(loads_a, stores_a, loads_b, stores_b):
                 candidates.add((r, m))
     out = []
     for r, m in sorted(candidates):
-        la = _leaf_int(loads_a, r, m)
-        sa = _leaf_int(stores_a, r, m)
-        lb = _leaf_int(loads_b, r, m)
-        sb = _leaf_int(stores_b, r, m)
+        la = _leaf(loads_a, r, m)
+        sa = _leaf(stores_a, r, m)
+        lb = _leaf(loads_b, r, m)
+        sb = _leaf(stores_b, r, m)
         word = ((la | sa) & sb) | ((lb | sb) & sa)
         base = (r << 23) | (m << 14)
         while word:
@@ -126,11 +121,8 @@ def race_witnesses(loads_a, stores_a, loads_b, stores_b):
     return out
 
 
-def _leaf_int(bm: MultilevelBitmap, r: int, m: int) -> int:
-    mid = bm._root.get(r)
-    if mid is None:
-        return 0
-    leaf = mid.get(m)
-    if leaf is None:
-        return 0
-    return int.from_bytes(leaf, "little")
+def _leaf(bm: MultilevelBitmap, r: int, m: int) -> int:
+    return bm._root.get(r, _NO_LEAVES).get(m, 0)
+
+
+_NO_LEAVES: dict = {}  # stands in for an absent second-level table; never written

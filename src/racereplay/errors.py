@@ -26,9 +26,8 @@ class DeadlockError(RaceReplayError):
     state is attached so callers can report or convert the condition.
     """
 
-    def __init__(self, blocked, events, memory, steps):
+    def __init__(self, blocked, memory, steps):
         self.blocked = blocked
-        self.events = events
         self.memory = memory
         self.steps = steps
         lines = ", ".join(f"thread {tid}: {why}" for tid, why in blocked)

@@ -46,6 +46,11 @@ step:
   ``ExecutionHooks.recheck`` names, which are asked again then. The
   default names every refused thread.
 
+Only a run without hooks keeps its events, in ``Machine.events`` and
+``RunResult.events``; record's run is the one such run in the package. A
+run with hooks keeps none: it passes each event to ``on_event``, and a
+caller that needs the stream keeps it there.
+
 ``Machine.run`` is the one step loop. It inlines the splitmix64 draw and
 runs plain steps itself, with the machine's state in local variables and
 events built straight from tuples; only gate steps call out, to ``_step``
@@ -164,7 +169,10 @@ class ExecutionHooks:
         return vetoed
 
     def on_event(self, machine: "Machine", event: Event):
-        """Return a truthy value to stop execution after this event."""
+        """Return a truthy value to stop execution after this event.
+
+        A run with hooks keeps no events itself; keep here any it needs.
+        """
         return None
 
 
@@ -202,7 +210,7 @@ class Machine:
         self.mutex_owner = {oid: None for oid in program.mutexes.values()}
         self.sem_count = dict(program.sem_initials())
         self.sync_done = [0] * n  # sync events emitted per thread
-        self.events: list[Event] = []
+        self.events: list[Event] = []  # filled only in a run without hooks
         self.steps = 0
         # Thread-id bitmasks; see the module docstring.
         self.waiters: dict[int, int] = {}  # object id -> threads waiting on it
@@ -356,11 +364,11 @@ class Machine:
 
     # -- execution -----------------------------------------------------------
 
-    def _step(self, tid: int, ins):
+    def _step(self, tid: int, ins, seq: int):
         """Execute one gate step: START (``ins`` None), a sync op or EXIT.
 
-        Plain steps run inline in ``run``. Returns truthy when a hook
-        requested a stop.
+        Plain steps run inline in ``run``. Returns the step's SYNC event,
+        numbered ``seq``, or None for an EXIT that no thread joins.
         """
         prog = self.program
         if ins is None:
@@ -392,12 +400,7 @@ class Machine:
                 obj, sync = self._sync_obj(op, a), _OP_SYNC[op]
                 self.pc[tid] = ordinal + 1
         self.sync_done[tid] += 1
-        events = self.events
-        ev = _new_tuple(Event, (len(events), tid, _SYNC_EVENT, -1, ordinal, obj, sync))
-        events.append(ev)
-        if self.hooks is not None:
-            return self.hooks.on_event(self, ev)
-        return None
+        return _new_tuple(Event, (seq, tid, _SYNC_EVENT, -1, ordinal, obj, sync))
 
     def run(self) -> RunResult:
         """Run to completion, a hook's stop request, or a deadlock.
@@ -414,10 +417,11 @@ class Machine:
         ids = _bit_ids(runnable)
         k = len(ids)
         rng, steps = self._rng, self.steps
+        seq = 0
         try:
             while live:
                 if not k:
-                    raise DeadlockError(self._blocked_report(), events, memory, steps)
+                    raise DeadlockError(self._blocked_report(), memory, steps)
                 rng = (rng + _GOLDEN) & MASK64  # splitmix64, inlined
                 if k == 1:
                     tid = ids[0]
@@ -435,16 +439,20 @@ class Machine:
                 if op is _LOAD:
                     regs[tid][a] = memory.get(b, 0)
                     pc[tid] = p + 1
-                    ev = _new_tuple(Event, (len(events), tid, _LOAD_EVENT, b, p, -1, -1))
-                    append(ev)
-                    if on_event is not None and on_event(self, ev):
+                    ev = _new_tuple(Event, (seq, tid, _LOAD_EVENT, b, p, -1, -1))
+                    seq += 1
+                    if on_event is None:
+                        append(ev)
+                    elif on_event(self, ev):
                         return RunResult(memory, events, steps, stopped=True)
                 elif op is _STORE:
                     memory[b] = regs[tid][a]
                     pc[tid] = p + 1
-                    ev = _new_tuple(Event, (len(events), tid, _STORE_EVENT, b, p, -1, -1))
-                    append(ev)
-                    if on_event is not None and on_event(self, ev):
+                    ev = _new_tuple(Event, (seq, tid, _STORE_EVENT, b, p, -1, -1))
+                    seq += 1
+                    if on_event is None:
+                        append(ev)
+                    elif on_event(self, ev):
                         return RunResult(memory, events, steps, stopped=True)
                 elif op is _ADDI:
                     r = regs[tid]
@@ -454,8 +462,13 @@ class Machine:
                     regs[tid][a] = b & WORD_MASK
                     pc[tid] = p + 1
                 else:
-                    if self._step(tid, ins):
-                        return RunResult(memory, events, steps, stopped=True)
+                    ev = self._step(tid, ins, seq)
+                    if ev is not None:
+                        seq += 1
+                        if on_event is None:
+                            append(ev)
+                        elif on_event(self, ev):
+                            return RunResult(memory, events, steps, stopped=True)
                     if op is _EXIT:
                         live -= 1
                     self._after_gate(tid, ins)

@@ -44,6 +44,8 @@ _ADDRESS_OPS = frozenset((Op.LOAD, Op.STORE))
 _CONSTANT_OPS = frozenset((Op.ADDI, Op.SET))
 # Mnemonics by op; reading ``Op.name`` goes through a Python-level property.
 _OP_NAMES = {op: op.name for op in Op}
+# Read once per body line; a global costs a fifth of a read through ``Op``.
+_EXIT = Op.EXIT
 
 
 class Instruction(NamedTuple):
@@ -157,24 +159,79 @@ def _parse_address(tok: str, line: int) -> int:
     return value
 
 
+def _parse_instruction(line: str, lineno: int, mutexes: dict,
+                       semaphores: dict, threads) -> Instruction:
+    """One body line as an Instruction.
+
+    Depends only on the line and the declarations, except that a CREATE's
+    own checks (creator, duplicate creation) are left to the caller.
+    """
+    tokens = line.split()
+    mnemonic = tokens[0]
+    try:
+        op = Op[mnemonic]
+    except KeyError:
+        raise ParseError(f"unknown instruction '{mnemonic}'", lineno)
+    args = tokens[1:]
+    if op in _ADDRESS_OPS:
+        if len(args) != 2:
+            raise ParseError(f"{mnemonic} takes a register and an address", lineno)
+        return Instruction(op, _parse_register(args[0], lineno),
+                           _parse_address(args[1], lineno))
+    if op in _CONSTANT_OPS:
+        if len(args) != 2:
+            raise ParseError(f"{mnemonic} takes a register and a constant", lineno)
+        reg = _parse_register(args[0], lineno)
+        return Instruction(op, reg, _parse_int(args[1], lineno, "constant") & WORD_MASK)
+    if op in (Op.LOCK, Op.UNLOCK):
+        if len(args) != 1:
+            raise ParseError(f"{mnemonic} takes a mutex name", lineno)
+        if args[0] not in mutexes:
+            raise ParseError(f"undeclared sync object '{args[0]}'", lineno)
+        return Instruction(op, mutexes[args[0]])
+    if op in (Op.SEM_WAIT, Op.SEM_POST):
+        if len(args) != 1:
+            raise ParseError(f"{mnemonic} takes a semaphore name", lineno)
+        if args[0] not in semaphores:
+            raise ParseError(f"undeclared sync object '{args[0]}'", lineno)
+        return Instruction(op, semaphores[args[0]][0])
+    if op in THREAD_OPS:
+        if len(args) != 1:
+            raise ParseError(f"{mnemonic} takes a thread id", lineno)
+        target = _parse_int(args[0], lineno, "thread id", 10)
+        if target not in threads:
+            raise ParseError(f"undeclared thread {target}", lineno)
+        return Instruction(op, target)
+    if args:
+        raise ParseError("EXIT takes no operands", lineno)
+    return Instruction(op)
+
+
 def parse_program(text: str, name: str = "<program>") -> Program:
     """Parse program source into a validated Program.
 
     Format: header lines (``mutex <name>``, ``sem <name> <initial>``,
     ``mem <hex-addr> <value>``) followed by ``thread <id>:`` sections with
     one instruction per line. ``#`` starts a comment. Addresses are hex.
+
+    Bodies repeat lines often, so each distinct line is parsed once and
+    its Instruction shared by every occurrence. CREATE and JOIN lines are
+    parsed at each occurrence, since their checks depend on which thread
+    holds them and on the CREATEs before them.
     """
     mutex_names: list[str] = []
     sem_decls: list[tuple[str, int]] = []
     memory: dict[int, int] = {}
-    bodies: dict[int, list[tuple[int, list[str]]]] = {}  # tid -> [(line, tokens)]
+    lines = text.splitlines()
+    bodies: dict[int, range] = {}  # tid -> indices of its section's lines
     thread_lines: dict[int, int] = {}
 
     current_tid = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for index, raw in enumerate(lines):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+        if not line or (current_tid is not None and not line.startswith("thread")):
+            continue  # blank, or a body line: parsed below
+        lineno = index + 1
         tokens = line.split()
         head = tokens[0]
         if head == "thread":
@@ -183,7 +240,9 @@ def parse_program(text: str, name: str = "<program>") -> Program:
             tid = _parse_int(tokens[1][:-1], lineno, "thread id", 10)
             if tid in bodies:
                 raise ParseError(f"duplicate thread {tid}", lineno)
-            bodies[tid] = []
+            if current_tid is not None:
+                bodies[current_tid] = range(bodies[current_tid].start, index)
+            bodies[tid] = range(lineno, len(lines))
             thread_lines[tid] = lineno
             current_tid = tid
             continue
@@ -210,15 +269,13 @@ def parse_program(text: str, name: str = "<program>") -> Program:
                 memory[addr] = _parse_int(tokens[2], lineno, "value") & WORD_MASK
             else:
                 raise ParseError(f"unknown directive '{head}'", lineno)
-            continue
-        bodies[current_tid].append((lineno, tokens))
+        # Otherwise a body line such as 'threadx', rejected below.
 
     if MAIN_THREAD not in bodies:
         raise ParseError("program must declare thread 0 (main)")
     tids = sorted(bodies)
     if tids != list(range(len(tids))):
         raise ParseError(f"thread ids must be contiguous 0..{len(tids) - 1}, got {tids}")
-    n_threads = len(tids)
 
     # Object id space: mutexes, semaphores, start handshakes, exit handshakes.
     obj_ids: dict[str, int] = {}
@@ -235,48 +292,22 @@ def parse_program(text: str, name: str = "<program>") -> Program:
     create_targets: dict[int, int] = {}  # tid -> line of its CREATE
     join_targets: set[int] = set()
     parsed: dict[int, list[Instruction]] = {tid: [] for tid in tids}
+    shared: dict[str, Instruction] = {}  # distinct line -> its Instruction
 
     for tid in tids:
+        body = parsed[tid]
         seen_exit = False
-        for lineno, tokens in bodies[tid]:
+        for index in bodies[tid]:
+            line = lines[index].split("#", 1)[0].strip()
+            if not line:
+                continue
             if seen_exit:
-                raise ParseError("instruction after EXIT", lineno)
-            mnemonic = tokens[0]
-            try:
-                op = Op[mnemonic]
-            except KeyError:
-                raise ParseError(f"unknown instruction '{mnemonic}'", lineno)
-            args = tokens[1:]
-            if op in (Op.LOAD, Op.STORE):
-                if len(args) != 2:
-                    raise ParseError(f"{mnemonic} takes a register and an address", lineno)
-                reg = _parse_register(args[0], lineno)
-                addr = _parse_address(args[1], lineno)
-                parsed[tid].append(Instruction(op, reg, addr))
-            elif op in (Op.ADDI, Op.SET):
-                if len(args) != 2:
-                    raise ParseError(f"{mnemonic} takes a register and a constant", lineno)
-                reg = _parse_register(args[0], lineno)
-                const = _parse_int(args[1], lineno, "constant") & WORD_MASK
-                parsed[tid].append(Instruction(op, reg, const))
-            elif op in (Op.LOCK, Op.UNLOCK):
-                if len(args) != 1:
-                    raise ParseError(f"{mnemonic} takes a mutex name", lineno)
-                if args[0] not in mutexes:
-                    raise ParseError(f"undeclared sync object '{args[0]}'", lineno)
-                parsed[tid].append(Instruction(op, mutexes[args[0]]))
-            elif op in (Op.SEM_WAIT, Op.SEM_POST):
-                if len(args) != 1:
-                    raise ParseError(f"{mnemonic} takes a semaphore name", lineno)
-                if args[0] not in semaphores:
-                    raise ParseError(f"undeclared sync object '{args[0]}'", lineno)
-                parsed[tid].append(Instruction(op, semaphores[args[0]][0]))
-            elif op in THREAD_OPS:
-                if len(args) != 1:
-                    raise ParseError(f"{mnemonic} takes a thread id", lineno)
-                target = _parse_int(args[0], lineno, "thread id", 10)
-                if target not in bodies:
-                    raise ParseError(f"undeclared thread {target}", lineno)
+                raise ParseError("instruction after EXIT", index + 1)
+            ins = shared.get(line)
+            if ins is None:
+                lineno = index + 1
+                ins = _parse_instruction(line, lineno, mutexes, semaphores, bodies)
+                op, target, _ = ins
                 if op is Op.CREATE:
                     if target == MAIN_THREAD:
                         raise ParseError("thread 0 cannot be created", lineno)
@@ -287,15 +318,13 @@ def parse_program(text: str, name: str = "<program>") -> Program:
                             f"thread {target} created more than once "
                             f"(first at line {create_targets[target]})", lineno)
                     create_targets[target] = lineno
-                else:
+                elif op is Op.JOIN:
                     join_targets.add(target)
-                parsed[tid].append(Instruction(op, target))
-            else:  # EXIT
-                if args:
-                    raise ParseError("EXIT takes no operands", lineno)
-                parsed[tid].append(Instruction(op))
-                seen_exit = True
-        if not parsed[tid] or parsed[tid][-1].op is not Op.EXIT:
+                else:
+                    shared[line] = ins
+            body.append(ins)
+            seen_exit = ins[0] is _EXIT
+        if not body or body[-1].op is not _EXIT:
             raise ParseError(f"thread {tid} body must end with EXIT",
                              thread_lines[tid])
 

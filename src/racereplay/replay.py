@@ -34,7 +34,6 @@ _SYNC_EVENT = EventKind.SYNC
 class ReplayResult:
     verdict: str
     memory: dict
-    events: list
     steps: int
     detail: str = ""
 
@@ -137,12 +136,12 @@ def replay_execution(program: Program, trace: SyncTrace,
         if hooks.over_budget:
             who = ", ".join(str(t) for t in sorted(hooks.over_budget))
             extra = f" (threads past recorded sync count: {who})"
-        return ReplayResult(DIVERGED, dead.memory, dead.events, dead.steps,
+        return ReplayResult(DIVERGED, dead.memory, dead.steps,
                             detail=f"stuck: {stuck}{extra}")
     if result.stopped:
-        return ReplayResult(STOPPED, result.memory, result.events, result.steps)
+        return ReplayResult(STOPPED, result.memory, result.steps)
     left = hooks.unexecuted()
     if left:
-        return ReplayResult(DIVERGED, result.memory, result.events, result.steps,
+        return ReplayResult(DIVERGED, result.memory, result.steps,
                             detail=f"{left} recorded sync ops never executed")
-    return ReplayResult(OK, result.memory, result.events, result.steps)
+    return ReplayResult(OK, result.memory, result.steps)

@@ -1,6 +1,6 @@
 """Shared helpers for the test suite."""
 
-from racereplay.machine import ExecutionHooks
+from racereplay.machine import EventKind, ExecutionHooks
 from racereplay.program import parse_program
 from racereplay.record import record_execution
 from racereplay.replay import replay_execution
@@ -28,8 +28,6 @@ def record_and_replay(text, seed, replay_seed=0):
 
 def per_object_sync_sequences(events):
     """obj id -> [(tid, sync kind), ...] in stream order."""
-    from racereplay.machine import EventKind
-
     out = {}
     for ev in events:
         if ev.kind is EventKind.SYNC:
@@ -38,11 +36,15 @@ def per_object_sync_sequences(events):
 
 
 class CountingHooks(ExecutionHooks):
-    """Permits every step and counts how often it was asked."""
+    """Permits every step; counts how often it was asked and the SYNC events."""
 
     def __init__(self):
         self.permits_calls = 0
+        self.sync_events = 0
 
     def permits(self, machine, tid):
         self.permits_calls += 1
         return True
+
+    def on_event(self, machine, event):
+        self.sync_events += event.kind is EventKind.SYNC

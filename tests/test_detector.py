@@ -1,5 +1,6 @@
 """Detection: first-race semantics, oracle equivalence, discard safety."""
 
+import tracemalloc
 from itertools import combinations
 
 from _helpers import replay_events
@@ -342,3 +343,18 @@ def test_discard_work_bound(monkeypatch):
         below[0] = minima[0] = 0
         st = detect(prog, rec.trace, all_races=True).stats
         assert below[0] <= prog.n_threads * minima[0] + st.segments_discarded
+
+
+def test_detect_memory_stays_bounded():
+    # 16 004 events pass through replay and none is kept; keeping them
+    # alone would take the peak to about 3 MiB.
+    program = parse_program(workloads.ping_pong(2000, slack=2))
+    trace = record_execution(program, 1).trace
+    tracemalloc.start()
+    try:
+        result = detect(program, trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.status == CLEAN
+    assert peak < 1 << 20

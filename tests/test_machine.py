@@ -192,6 +192,21 @@ def test_event_stream_invariants():
             per_thread_last[ev.tid] = ev.ordinal
 
 
+def test_run_with_hooks_passes_events_on_and_keeps_none():
+    class Seqs(ExecutionHooks):
+        def __init__(self):
+            self.seqs = []
+
+        def on_event(self, machine, event):
+            self.seqs.append(event.seq)
+
+    prog = parse_program(workloads.ping_pong(20, slack=2))
+    hooks = Seqs()
+    res = run(prog, 3, hooks)
+    assert hooks.seqs == list(range(len(run(prog, 3).events)))
+    assert res.events == []
+
+
 def test_start_events_precede_thread_activity():
     prog = parse_program(workloads.shared_counter())
     res = run(prog, 9)
@@ -235,7 +250,7 @@ def test_scheduler_rechecks_threads_only_at_sync_points():
     hooks = CountingHooks()
     res = run(prog, 5, hooks)
     n = prog.n_threads
-    syncs = sum(1 for e in res.events if e.kind is EventKind.SYNC)
+    syncs = hooks.sync_events
     exits = n
     assert res.steps == workers * 500 + syncs + 1  # main's EXIT emits no event
     assert hooks.permits_calls <= n * (syncs + exits + 1) + syncs + exits

@@ -61,10 +61,12 @@ def test_duplicate_thread_section():
 
 
 def test_duplicate_create():
+    # Repeated lines share one parse, but each CREATE is checked on its own.
     text = ("thread 0:\n  CREATE 1\n  CREATE 1\n  JOIN 1\n  EXIT\n"
             "thread 1:\n  EXIT\n")
-    with pytest.raises(ParseError, match="created more than once"):
+    with pytest.raises(ParseError, match="created more than once") as err:
         parse_program(text)
+    assert err.value.line == 3
 
 
 def test_never_created_thread():
@@ -78,6 +80,10 @@ def test_body_must_end_with_exit():
         parse_program("thread 0:\n  SET r0 1\n")
     with pytest.raises(ParseError, match="after EXIT"):
         parse_program("thread 0:\n  EXIT\n  SET r0 1\n")
+    # A line already parsed before the EXIT is rejected at its own line.
+    with pytest.raises(ParseError, match="after EXIT") as err:
+        parse_program("thread 0:\n  SET r0 1\n  EXIT\n  SET r0 1\n")
+    assert err.value.line == 4
 
 
 def test_thread_ids_contiguous():
@@ -95,6 +101,17 @@ def test_create_main_rejected():
     text = "thread 0:\n  CREATE 0\n  EXIT\n"
     with pytest.raises(ParseError, match="cannot be created"):
         parse_program(text)
+
+
+def test_repeated_lines_share_one_instruction():
+    text = workloads.ping_pong(1000)
+    body = text[text.index("thread 0:"):].splitlines()
+    distinct = {line.strip() for line in body if not line.startswith("thread")}
+    prog = parse_program(text)
+    thread_ops = sum(ins.op in (Op.CREATE, Op.JOIN)
+                     for ins in prog.threads[0] + prog.threads[1])
+    objects = {id(ins) for body in prog.threads for ins in body}
+    assert len(objects) <= len(distinct) + thread_ops
 
 
 def test_comments_and_blank_lines_ignored():
