@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .detector import CLEAN, DIVERGED_NO_RACE, RACE, detect
+from .detector import DIVERGED_NO_RACE, RACE, LiveSegmentProbe, detect
 from .errors import RaceReplayError
 from .generator import generate_program
 from .identify import identify
@@ -101,12 +101,12 @@ def cmd_replay(args) -> int:
 
 
 def _run_detect(program: Program, trace: SyncTrace, args):
-    result = detect(program, trace, all_races=args.all_races,
-                    probe=bool(args.probe_live_segments),
+    probe = LiveSegmentProbe(program) if args.probe_live_segments else None
+    result = detect(program, trace, all_races=args.all_races, listener=probe,
                     replay_seed=args.replay_seed)
-    if args.probe_live_segments:
+    if probe is not None:
         rows = ["snoop_point,live_snooped,live_logical"]
-        rows += [f"{p},{s},{l}" for p, s, l in result.probe_rows]
+        rows += [f"{p},{s},{l}" for p, s, l in probe.rows]
         _write_lines(args.probe_live_segments, rows)
     return result
 

@@ -28,15 +28,17 @@ sync op therefore costs one O(n) check; the horizon is recomputed only
 when the check fires, and the list heads are re-tested only when the
 horizon rises, at one test per dropped segment plus one per thread.
 
-With ``probe=True`` a second, causally-propagated matrix-clock horizon is
-tracked side by side and the live segment counts under both discard
-policies are sampled at every segment close.
+A ``DetectorListener`` passed to ``detect`` sees every segment close,
+every discarded prefix and every sync op. ``LiveSegmentProbe`` is one: it
+tracks a second, causally-propagated matrix-clock horizon side by side and
+samples the live segment counts under both discard policies at every sync
+op.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .bitmap import MultilevelBitmap, race_witnesses
@@ -61,7 +63,6 @@ class Segment:
     loads: MultilevelBitmap
     stores: MultilevelBitmap
     clock: tuple = ()
-    closed_at: int = -1  # value of the sync-event counter at close time
 
     @property
     def key(self):
@@ -110,9 +111,6 @@ class DetectResult:
     reports: list
     stats: DetectStats
     replay: ReplayResult
-    probe_rows: list = field(default_factory=list)
-    discarded: list = field(default_factory=list)
-    segments: Optional[list] = None  # every closed segment, when requested
 
     @property
     def report(self) -> Optional[RaceReport]:
@@ -133,31 +131,59 @@ def _make_report(a: Segment, b: Segment, witnesses) -> RaceReport:
     )
 
 
+class DetectorListener:
+    """Observer of the detector's segments; the default does nothing.
+
+    Each callback gets the detector's state first, to read and not to
+    change.
+    """
+
+    def on_close(self, state: "_DetectorState", seg: Segment):
+        """A segment closed; called after it is stored."""
+
+    def on_discard(self, state: "_DetectorState", segments: list):
+        """A thread's dropped prefix, in index order, before it is deleted."""
+
+    def on_sync(self, state: "_DetectorState", tid: int, obj: int,
+                acquire: bool):
+        """A sync op ran; called after its clock update and snooped discard."""
+
+
+def _prefix_below(segments: list, horizon) -> int:
+    """How many leading ``segments`` of one thread are strictly below
+    ``horizon``.
+
+    A thread's clocks never decrease from one segment to the next, so if a
+    segment is strictly below the horizon, so is every earlier segment of
+    that thread: the segments below it are always a prefix of the list,
+    and the count stops at the first segment that is not.
+    """
+    dead = 0
+    while dead < len(segments) and \
+            vc_strictly_below(segments[dead].clock, horizon):
+        dead += 1
+    return dead
+
+
 class _DetectorState:
     def __init__(self, program: Program, *, all_races: bool, gc: bool,
-                 probe: bool, keep_discarded: bool, keep_segments: bool = False):
+                 listener: Optional[DetectorListener]):
         n = program.n_threads
         self.program = program
         self.all_races = all_races
         self.gc = gc
-        self.probe = probe
-        self.keep_discarded = keep_discarded
-        self.all_segments: Optional[list] = [] if keep_segments else None
+        self.listener = listener
         self.clocks = VectorClockTracker(n, program.n_objects)
         # The snooped horizon: column_min of self.clocks.threads, kept exact.
         self.horizon = (0,) * n
-        self.matrix = MatrixClockTracker(n, program.n_objects) if probe else None
         self.open: list[Optional[Segment]] = [None] * n
         self.closed_count = [0] * n
         # stored[tid] lists the thread's live segments in index order, and
         # epochs[tid] their own clock components, for the scan's bisect.
         self.stored = [[] for _ in range(n)]
         self.epochs = [[] for _ in range(n)]
-        self.ghosts = [[] for _ in range(n)] if probe else None
         self.reports: list[RaceReport] = []
         self.stats = DetectStats()
-        self.probe_rows: list[tuple] = []
-        self.discarded: list = []
 
     # -- events ---------------------------------------------------------------
 
@@ -181,11 +207,10 @@ class _DetectorState:
         # Clock updates happen at the sync op itself, after the segment ends.
         acquire = event.sync in ACQUIRE_KINDS
         before = self.clocks.apply_sync(tid, event.obj, acquire)
-        if self.matrix is not None:
-            self.matrix.apply_sync(tid, event.obj, acquire,
-                                   self.clocks.threads[tid])
-        if self.gc or self.probe:
+        if self.gc:
             self._collect_garbage(tid, before)
+        if self.listener is not None:
+            self.listener.on_sync(self, tid, event.obj, acquire)
         return race_found and not self.all_races
 
     def _close_open_segment(self, tid: int) -> bool:
@@ -194,17 +219,14 @@ class _DetectorState:
         if seg is None:
             return False
         seg.clock = self.clocks.threads[tid]
-        seg.closed_at = self.stats.sync_events
         self.closed_count[tid] += 1
-        if self.all_segments is not None:
-            self.all_segments.append(seg)
         found = self._scan_for_races(seg)
         self.stored[tid].append(seg)
         self.epochs[tid].append(seg.clock[tid])
-        if self.ghosts is not None:
-            self.ghosts[tid].append(seg)
         self.stats.segments_created += 1
         self._note_live()
+        if self.listener is not None:
+            self.listener.on_close(self, seg)
         return found
 
     def _scan_for_races(self, seg: Segment) -> bool:
@@ -263,55 +285,27 @@ class _DetectorState:
         component. Every other head either stayed when the horizon last
         rose or was stored since then, by this same argument. Heads are
         thus re-tested only when the horizon rises.
-
-        The probe's logical horizon is the closing thread's own matrix
-        minimum, a different horizon from one op to the next, so it keeps
-        its pass over every thread's list at every sync op.
         """
-        if self.gc:
-            after = self.clocks.threads[closing_tid]
-            if any(b == h and a > b
-                   for a, b, h in zip(after, before, self.horizon)):
-                horizon = column_min(self.clocks.snapshot())
-                if horizon != self.horizon:
-                    self.horizon = horizon
-                    self.stats.segments_discarded += self._drop_below(
-                        self.stored, horizon)
-        if self.probe:
-            logical = self.matrix.horizon(closing_tid)
-            self._drop_below(self.ghosts, logical)
-            self.probe_rows.append((self.stats.sync_events,
-                                    self._live_stored(),
-                                    self._live(self.ghosts)))
+        after = self.clocks.threads[closing_tid]
+        if any(b == h and a > b
+               for a, b, h in zip(after, before, self.horizon)):
+            horizon = column_min(self.clocks.snapshot())
+            if horizon != self.horizon:
+                self.horizon = horizon
+                self._drop_below(horizon)
 
-    def _drop_below(self, store, horizon) -> int:
-        """Pop each thread's stored segments strictly below ``horizon``.
-
-        A thread's clocks never decrease from one segment to the next, so
-        if a segment is strictly below the horizon, so is every earlier
-        segment of that thread: the segments to drop are always a prefix
-        of the list, and the scan of each thread stops at the first
-        segment that stays. The same prefix leaves ``epochs`` with the
-        stored lists.
-        """
-        dropped = 0
-        for tid, per_thread in enumerate(store):
-            dead = 0
-            while dead < len(per_thread) and \
-                    vc_strictly_below(per_thread[dead].clock, horizon):
-                dead += 1
-            if store is self.stored:
-                del self.epochs[tid][:dead]
-                if self.keep_discarded:
-                    self.discarded.extend((self.stats.sync_events, seg)
-                                          for seg in per_thread[:dead])
-            del per_thread[:dead]
-            dropped += dead
-        return dropped
-
-    @staticmethod
-    def _live(store) -> int:
-        return sum(len(per_thread) for per_thread in store)
+    def _drop_below(self, horizon):
+        """Pop each thread's stored segments strictly below ``horizon``,
+        with their entries in ``epochs``."""
+        listener = self.listener
+        for stored, epochs in zip(self.stored, self.epochs):
+            dead = _prefix_below(stored, horizon)
+            if dead:
+                if listener is not None:
+                    listener.on_discard(self, stored[:dead])
+                del stored[:dead]
+                del epochs[:dead]
+                self.stats.segments_discarded += dead
 
     def _live_stored(self) -> int:
         return self.stats.segments_created - self.stats.segments_discarded
@@ -331,15 +325,49 @@ class _DetectorState:
                     return
 
 
+class LiveSegmentProbe(DetectorListener):
+    """Live segment counts under the snooped discard and a logical one.
+
+    The logical horizon is the syncing thread's own matrix minimum: what
+    that thread could discard by its causally-propagated knowledge alone.
+    ``rows`` gets one ``(sync events seen, live under the snooped
+    discard, live under the logical discard)`` row at every sync op. The
+    logical horizon differs from one op to the next, so every thread's
+    list is re-tested at every op. The snooped count is what the
+    detector's own discard leaves live, so the probe needs ``gc=True``.
+    """
+
+    def __init__(self, program: Program):
+        n = program.n_threads
+        self.matrix = MatrixClockTracker(n, program.n_objects)
+        self.ghosts = [[] for _ in range(n)]
+        self.rows: list[tuple] = []
+
+    def on_close(self, state, seg):
+        self.ghosts[seg.tid].append(seg)
+
+    def on_sync(self, state, tid, obj, acquire):
+        if not state.gc:
+            raise ValueError(
+                "probe mode compares the discard policies and needs gc=True")
+        self.matrix.apply_sync(tid, obj, acquire, state.clocks.threads[tid])
+        logical = self.matrix.horizon(tid)
+        for ghosts in self.ghosts:
+            del ghosts[:_prefix_below(ghosts, logical)]
+        self.rows.append((state.stats.sync_events, state._live_stored(),
+                          sum(map(len, self.ghosts))))
+
+
 def detect(program: Program, trace: SyncTrace, *, all_races: bool = False,
-           gc: bool = True, probe: bool = False, keep_discarded: bool = False,
-           keep_segments: bool = False, replay_seed: int = 0) -> DetectResult:
-    """Replay under the trace and report the first data race, if any."""
-    if probe and not gc:
-        raise ValueError("probe mode compares the discard policies and needs gc=True")
-    state = _DetectorState(program, all_races=all_races, gc=gc, probe=probe,
-                           keep_discarded=keep_discarded,
-                           keep_segments=keep_segments)
+           gc: bool = True, listener: Optional[DetectorListener] = None,
+           replay_seed: int = 0) -> DetectResult:
+    """Replay under the trace and report the first data race, if any.
+
+    ``listener`` sees the detector's segment closes, discards and sync
+    ops; it changes nothing the detector finds.
+    """
+    state = _DetectorState(program, all_races=all_races, gc=gc,
+                           listener=listener)
     replay = replay_execution(program, trace, observer=state.on_event,
                               replay_seed=replay_seed)
     if replay.verdict != STOPPED or all_races:
@@ -351,5 +379,4 @@ def detect(program: Program, trace: SyncTrace, *, all_races: bool = False,
     else:
         status = CLEAN
     return DetectResult(status=status, reports=state.reports, stats=state.stats,
-                        replay=replay, probe_rows=state.probe_rows,
-                        discarded=state.discarded, segments=state.all_segments)
+                        replay=replay)

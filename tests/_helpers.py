@@ -1,5 +1,6 @@
 """Shared helpers for the test suite."""
 
+from racereplay.detector import DetectorListener
 from racereplay.machine import EventKind, ExecutionHooks
 from racereplay.program import parse_program
 from racereplay.record import record_execution
@@ -48,3 +49,23 @@ class CountingHooks(ExecutionHooks):
 
     def on_event(self, machine, event):
         self.sync_events += event.kind is EventKind.SYNC
+
+
+class SegmentLog(DetectorListener):
+    """Every closed and every discarded segment, in order, each paired with
+    the number of sync events the detector had seen at that point."""
+
+    def __init__(self):
+        self.closed = []
+        self.discarded = []
+
+    def on_close(self, state, seg):
+        self.closed.append((state.stats.sync_events, seg))
+
+    def on_discard(self, state, segments):
+        at = state.stats.sync_events
+        self.discarded.extend((at, seg) for seg in segments)
+
+    @property
+    def segments(self):
+        return [seg for _, seg in self.closed]

@@ -9,13 +9,13 @@ import random
 import time
 from contextlib import contextmanager
 
-from _helpers import per_object_sync_sequences, replay_events
+from _helpers import SegmentLog, per_object_sync_sequences, replay_events
 
 from racereplay import workloads
 from racereplay.bitmap import MultilevelBitmap
 from racereplay.clocks import Ordering, vc_compare
 from racereplay.cli import main
-from racereplay.detector import CLEAN, RACE, detect
+from racereplay.detector import CLEAN, RACE, LiveSegmentProbe, detect
 from racereplay.generator import generate_program
 from racereplay.identify import identify
 from racereplay.machine import run
@@ -109,18 +109,19 @@ def test_criterion_3_gc_safety_and_dominance():
         for i, params in enumerate(_corpus_params(500, 900_000)):
             prog = parse_program(generate_program(**params))
             rec = record_execution(prog, seed=i)
-            with_gc = detect(prog, rec.trace, gc=True, probe=True)
+            probe = LiveSegmentProbe(prog)
+            with_gc = detect(prog, rec.trace, gc=True, listener=probe)
             without = detect(prog, rec.trace, gc=False)
             assert with_gc.status == without.status
             if with_gc.status == RACE:
                 assert with_gc.report.pair_key() == without.report.pair_key()
-            for _, snooped, logical in with_gc.probe_rows:
+            for _, snooped, logical in probe.rows:
                 assert snooped <= logical
         pong = parse_program(workloads.ping_pong(100, slack=2))
         rec = record_execution(pong, 0)
-        probe = detect(pong, rec.trace, probe=True)
-        assert probe.status == CLEAN
-        assert any(s < l for _, s, l in probe.probe_rows)
+        probe = LiveSegmentProbe(pong)
+        assert detect(pong, rec.trace, listener=probe).status == CLEAN
+        assert any(s < l for _, s, l in probe.rows)
 
 
 def test_criterion_4_replay_fidelity():
@@ -155,11 +156,11 @@ def test_criterion_5_vector_clock_strong_consistency():
             prog = parse_program(text)
             rec = record_execution(prog, seed=i)
             events, _ = replay_events(prog, rec.trace)
-            result = detect(prog, rec.trace, all_races=True, gc=False,
-                            keep_segments=True)
+            log = SegmentLog()
+            detect(prog, rec.trace, all_races=True, gc=False, listener=log)
             ref = {s.key: s for s in build_segments(events, prog.n_threads)}
             hb = HbOracle(events)
-            segs = result.segments
+            segs = log.segments
             for x in range(len(segs)):
                 for y in range(x + 1, len(segs)):
                     a, b = segs[x], segs[y]

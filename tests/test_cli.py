@@ -1,14 +1,18 @@
 """CLI: exit codes, artifacts, formats."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import racereplay
 from racereplay import workloads
 from racereplay.cli import main
 from racereplay.errors import RaceReplayError
 from racereplay.reporting import parse_report_record
+from racereplay.tracefile import SyncTrace
 
 
 @pytest.fixture
@@ -181,6 +185,9 @@ def test_probe_csv_written(tmp_path, capsys):
     rows = csv.read_text().splitlines()
     assert rows[0] == "snoop_point,live_snooped,live_logical"
     assert len(rows) > 10
+    # One row per sync op, including ops that close no segment.
+    with open(trace, "rb") as f:
+        assert len(rows) - 1 == SyncTrace.from_bytes(f.read()).total_ops
     for row in rows[1:]:
         _, snooped, logical = row.split(",")
         assert int(snooped) <= int(logical)
@@ -209,8 +216,11 @@ def test_gen_bad_knob_usage_error(flag, value, message, tmp_path, capsys):
 
 
 def test_console_script_entry_point(racy):
+    # The child imports the same package as this test, installed or not.
+    src = str(Path(racereplay.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "racereplay.cli", "pipeline", racy],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 10
     assert "witness=0x00001000" in proc.stdout

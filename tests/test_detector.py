@@ -3,13 +3,15 @@
 import tracemalloc
 from itertools import combinations
 
-from _helpers import replay_events
+import pytest
+from _helpers import SegmentLog, replay_events
 
 import racereplay.detector as detector_mod
 from racereplay import workloads
 from racereplay.clocks import (MatrixClockTracker, Ordering, column_min,
                                vc_compare, vc_join, vc_strictly_below)
-from racereplay.detector import CLEAN, DIVERGED_NO_RACE, RACE, detect
+from racereplay.detector import (CLEAN, DIVERGED_NO_RACE, RACE,
+                                 DetectorListener, LiveSegmentProbe, detect)
 from racereplay.generator import generate_program
 from racereplay.oracle import brute_force_detect
 from racereplay.program import parse_program
@@ -85,6 +87,39 @@ def test_gc_never_changes_first_race():
             assert with_gc.report.pair_key() == without.report.pair_key()
 
 
+class _CountingListener(DetectorListener):
+    def __init__(self):
+        self.closes = self.discarded = self.syncs = 0
+
+    def on_close(self, state, seg):
+        self.closes += 1
+
+    def on_discard(self, state, segments):
+        self.discarded += len(segments)
+
+    def on_sync(self, state, tid, obj, acquire):
+        self.syncs += 1
+
+
+def test_listener_sees_every_close_discard_and_sync():
+    races = discards = 0
+    for i, text in enumerate(_corpus(40, 70_000)):
+        prog = parse_program(text)
+        rec = record_execution(prog, seed=i)
+        bare = detect(prog, rec.trace, all_races=True)
+        counts = _CountingListener()
+        heard = detect(prog, rec.trace, all_races=True, listener=counts)
+        st = heard.stats
+        assert counts.closes == st.segments_created
+        assert counts.discarded == st.segments_discarded
+        assert counts.syncs == st.sync_events
+        assert (heard.status, st, heard.reports) == \
+            (bare.status, bare.stats, bare.reports)
+        races += heard.status == RACE
+        discards += counts.discarded
+    assert 0 < races < 40 and discards > 0  # the corpus is mixed
+
+
 def test_discarded_segments_never_concurrent_with_later():
     # Ghost check: anything discarded must be ordered (BEFORE) against
     # every segment closed after the discard point.
@@ -92,15 +127,21 @@ def test_discarded_segments_never_concurrent_with_later():
                        (workloads.ping_pong(80, slack=2), 1)):
         prog = parse_program(text)
         rec = record_execution(prog, seed)
-        result = detect(prog, rec.trace, keep_discarded=True,
-                        keep_segments=True)
+        log = SegmentLog()
+        result = detect(prog, rec.trace, listener=log)
         assert result.stats.segments_discarded > 0
-        assert len(result.discarded) == result.stats.segments_discarded
-        for drop_point, dead in result.discarded:
-            for seg in result.segments:
-                if seg.closed_at > drop_point:
+        assert len(log.discarded) == result.stats.segments_discarded
+        for drop_point, dead in log.discarded:
+            for closed_at, seg in log.closed:
+                if closed_at > drop_point:
                     assert vc_compare(dead.clock, seg.clock) \
                         is Ordering.BEFORE, (dead.key, seg.key)
+
+
+def _probe_rows(prog, trace, **kwargs):
+    probe = LiveSegmentProbe(prog)
+    detect(prog, trace, listener=probe, **kwargs)
+    return probe.rows
 
 
 def test_snooped_horizon_dominates_logical():
@@ -109,18 +150,19 @@ def test_snooped_horizon_dominates_logical():
                        (workloads.producer_consumer(120, 4), 1)):
         prog = parse_program(text)
         rec = record_execution(prog, seed)
-        result = detect(prog, rec.trace, probe=True)
+        probe = LiveSegmentProbe(prog)
+        result = detect(prog, rec.trace, listener=probe)
         assert result.status == CLEAN
-        assert result.probe_rows
-        for _, snooped, logical in result.probe_rows:
+        assert probe.rows
+        for _, snooped, logical in probe.rows:
             assert snooped <= logical
 
 
 def test_overlapping_ping_pong_shows_strict_gain():
     prog = parse_program(workloads.ping_pong(100, slack=2))
     rec = record_execution(prog, 0)
-    result = detect(prog, rec.trace, probe=True)
-    assert any(snooped < logical for _, snooped, logical in result.probe_rows)
+    assert any(snooped < logical
+               for _, snooped, logical in _probe_rows(prog, rec.trace))
 
 
 class _JoinEveryRow(MatrixClockTracker):
@@ -147,28 +189,35 @@ def test_probe_rows_match_the_full_join(monkeypatch):
     for text in texts:
         prog = parse_program(text)
         rec = record_execution(prog, 1)
-        fast.append((prog, rec.trace, detect(prog, rec.trace, probe=True,
-                                             all_races=True).probe_rows))
+        fast.append((prog, rec.trace,
+                     _probe_rows(prog, rec.trace, all_races=True)))
     monkeypatch.setattr(detector_mod, "MatrixClockTracker", _JoinEveryRow)
     for prog, trace, rows in fast:
         assert rows
-        assert detect(prog, trace, probe=True, all_races=True).probe_rows == rows
+        assert _probe_rows(prog, trace, all_races=True) == rows
+
+
+def test_probe_needs_gc():
+    prog = parse_program(workloads.ping_pong(5, slack=2))
+    rec = record_execution(prog, 0)
+    with pytest.raises(ValueError, match="needs gc=True"):
+        detect(prog, rec.trace, gc=False, listener=LiveSegmentProbe(prog))
 
 
 def test_single_thread_probe_counts_bounded():
     prog = parse_program(
         "thread 0:\n  SET r0 1\n  STORE r0 0x00000010\n  EXIT\n")
     rec = record_execution(prog, 0)
-    result = detect(prog, rec.trace, probe=True)
-    for _, snooped, logical in result.probe_rows:
+    for _, snooped, logical in _probe_rows(prog, rec.trace):
         assert snooped <= 1 and logical <= 1
 
 
 def test_producer_consumer_live_segments_bounded():
     prog = parse_program(workloads.producer_consumer(150, 4))
     rec = record_execution(prog, 6)
-    result = detect(prog, rec.trace, probe=True)
-    live = [row[1] for row in result.probe_rows]
+    probe = LiveSegmentProbe(prog)
+    result = detect(prog, rec.trace, listener=probe)
+    live = [row[1] for row in probe.rows]
     assert result.stats.segments_created > 250
     assert max(live) < 25  # no growth with execution length
 
@@ -251,8 +300,9 @@ def test_epoch_lemma_and_per_thread_prefix_order():
     for text, seed in _epoch_programs():
         prog = parse_program(text)
         rec = record_execution(prog, seed)
-        result = detect(prog, rec.trace, keep_segments=True, all_races=True)
-        segments = result.segments
+        log = SegmentLog()
+        detect(prog, rec.trace, listener=log, all_races=True)
+        segments = log.segments
         for a, b in combinations(segments, 2):  # a closed before b
             if a.tid == b.tid:
                 assert all(x <= y for x, y in zip(a.clock, b.clock))
@@ -314,15 +364,25 @@ def test_kept_horizon_is_exact_and_no_head_is_below_it(monkeypatch):
     for text, seed in _epoch_programs():
         prog = parse_program(text)
         rec = record_execution(prog, seed)
-        for probe in (False, True):
+        for log in (SegmentLog(), _ProbedLog(prog)):
             seen.clear()
-            result = detect(prog, rec.trace, gc=True, probe=probe,
-                            keep_discarded=True, all_races=True)
+            result = detect(prog, rec.trace, gc=True, listener=log,
+                            all_races=True)
             assert len(seen) == result.stats.sync_events
-            for at, seg in result.discarded:
+            for at, seg in log.discarded:
                 assert vc_strictly_below(seg.clock, seen[at])
-            discards += len(result.discarded)
+            discards += len(log.discarded)
     assert discards > 100
+
+
+class _ProbedLog(LiveSegmentProbe):
+    """The live-segment probe, also keeping the discards as SegmentLog does."""
+
+    def __init__(self, program):
+        super().__init__(program)
+        self.discarded = []
+
+    on_discard = SegmentLog.on_discard
 
 
 def test_discard_work_bound(monkeypatch):

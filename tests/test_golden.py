@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import astuple
 
 from racereplay import workloads
-from racereplay.detector import detect
+from racereplay.detector import LiveSegmentProbe, detect
 from racereplay.errors import DeadlockError
 from racereplay.generator import generate_program
 from racereplay.machine import ExecutionHooks, _Status, run
@@ -111,9 +111,9 @@ def _replay_fields(result):
     return (result.verdict, result.detail, result.steps, _mem(result.memory))
 
 
-def _detect_fields(result):
+def _detect_fields(result, probe_rows):
     return (result.status, astuple(result.stats),
-            [astuple(r) for r in result.reports], result.probe_rows,
+            [astuple(r) for r in result.reports], probe_rows,
             _replay_fields(result.replay))
 
 
@@ -129,8 +129,10 @@ def behaviour(text, seed):
         for all_races in (False, True):
             out.append(_detect_fields(detect(program, rec.trace,
                                              all_races=all_races,
-                                             replay_seed=replay_seed)))
-    out.append(_detect_fields(detect(program, rec.trace, probe=True)))
+                                             replay_seed=replay_seed), []))
+    probe = LiveSegmentProbe(program)
+    out.append(_detect_fields(detect(program, rec.trace, listener=probe),
+                              probe.rows))
     stamps = [list(s) for s in rec.trace.stamps]
     victim = max(t for t, s in enumerate(stamps) if s)
     stamps[victim].pop()

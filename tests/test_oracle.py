@@ -1,7 +1,7 @@
 """The brute-force references themselves, on hand-checkable cases, plus
 the vector-clock strong-consistency cross-check."""
 
-from _helpers import replay_events
+from _helpers import SegmentLog, replay_events
 
 from racereplay import workloads
 from racereplay.clocks import Ordering, vc_compare
@@ -105,12 +105,12 @@ def test_vector_clocks_strongly_consistent_with_graph():
         prog = parse_program(text)
         rec = record_execution(prog, seed=i)
         events, _ = replay_events(prog, rec.trace)
-        result = detect(prog, rec.trace, all_races=True, gc=False,
-                        keep_segments=True)
+        log = SegmentLog()
+        detect(prog, rec.trace, all_races=True, gc=False, listener=log)
         ref = {s.key: s for s in build_segments(events, prog.n_threads)}
         hb = HbOracle(events)
-        assert set(ref) == {s.key for s in result.segments}
-        segs = sorted(result.segments, key=lambda s: s.key)
+        assert set(ref) == {s.key for s in log.segments}
+        segs = sorted(log.segments, key=lambda s: s.key)
         for x in range(len(segs)):
             for y in range(x + 1, len(segs)):
                 a, b = segs[x], segs[y]
