@@ -99,21 +99,23 @@ def race_witnesses(loads_a, stores_a, loads_b, stores_b):
 
     Evaluates ((La ∪ Sa) ∩ Sb) ∪ ((Lb ∪ Sb) ∩ Sa) and returns the members
     ascending; an empty result means the two sides cannot race.
+
+    Every witness is stored by one side, so only the leaves of the two
+    store sets are walked: each is masked by the other side's loads and
+    stores on the same leaf. Only leaves that hold a witness are sorted.
     """
-    candidates = set()
-    for used, stores in ((loads_a, stores_b), (stores_a, stores_b),
-                         (loads_b, stores_a), (stores_b, stores_a)):
-        for r in used._root.keys() & stores._root.keys():
-            for m in used._root[r].keys() & stores._root[r].keys():
-                candidates.add((r, m))
+    sa, sb = stores_a._root, stores_b._root
+    if not sa and not sb:
+        return []
+    hits = {}  # (root << 9 | mid) -> witness bits on that leaf
+    if sa:
+        _store_hits(sa, loads_b._root, sb, hits)
+    if sb:
+        _store_hits(sb, loads_a._root, sa, hits)
     out = []
-    for r, m in sorted(candidates):
-        la = _leaf(loads_a, r, m)
-        sa = _leaf(stores_a, r, m)
-        lb = _leaf(loads_b, r, m)
-        sb = _leaf(stores_b, r, m)
-        word = ((la | sa) & sb) | ((lb | sb) & sa)
-        base = (r << 23) | (m << 14)
+    for leaf in sorted(hits):
+        word = hits[leaf]
+        base = leaf << 14
         while word:
             low = word & -word
             out.append(base | (low.bit_length() - 1))
@@ -121,8 +123,19 @@ def race_witnesses(loads_a, stores_a, loads_b, stores_b):
     return out
 
 
-def _leaf(bm: MultilevelBitmap, r: int, m: int) -> int:
-    return bm._root.get(r, _NO_LEAVES).get(m, 0)
+def _store_hits(stores, loads_other, stores_other, hits):
+    """Or into ``hits`` each leaf of ``stores`` masked by the other side's
+    accesses on the same leaf."""
+    for r, mids in stores.items():
+        lo = loads_other.get(r, _NO_LEAVES)
+        so = stores_other.get(r, _NO_LEAVES)
+        if lo is _NO_LEAVES and so is _NO_LEAVES:
+            continue
+        for m, word in mids.items():
+            word &= lo.get(m, 0) | so.get(m, 0)
+            if word:
+                leaf = r << 9 | m
+                hits[leaf] = hits.get(leaf, 0) | word
 
 
 _NO_LEAVES: dict = {}  # stands in for an absent second-level table; never written

@@ -18,6 +18,7 @@ thread can know causally; it is never above the snooped horizon.
 from __future__ import annotations
 
 from enum import IntEnum
+from operator import gt, lt
 
 
 class Ordering(IntEnum):
@@ -25,6 +26,10 @@ class Ordering(IntEnum):
     BEFORE = 1
     AFTER = 2
     CONCURRENT = 3
+
+
+_EQUAL, _BEFORE, _AFTER, _CONCURRENT = (
+    Ordering.EQUAL, Ordering.BEFORE, Ordering.AFTER, Ordering.CONCURRENT)
 
 
 def lamport_advance(thread_ts: int, object_ts: int) -> int:
@@ -45,24 +50,14 @@ def vc_join(a, b):
 def vc_compare(a, b) -> Ordering:
     if len(a) != len(b):
         raise ValueError("vector clock length mismatch")
-    less = greater = False
-    for x, y in zip(a, b):
-        if x < y:
-            less = True
-        elif x > y:
-            greater = True
-    if less and greater:
-        return Ordering.CONCURRENT
-    if less:
-        return Ordering.BEFORE
-    if greater:
-        return Ordering.AFTER
-    return Ordering.EQUAL
+    if any(map(lt, a, b)):
+        return _CONCURRENT if any(map(gt, a, b)) else _BEFORE
+    return _AFTER if any(map(gt, a, b)) else _EQUAL
 
 
 def vc_strictly_below(a, b) -> bool:
     """True when every component of a is strictly below b (discard test)."""
-    return all(x < y for x, y in zip(a, b))
+    return all(map(lt, a, b))
 
 
 def column_min(rows):

@@ -19,12 +19,16 @@ a thread that precede a closing segment form a prefix found by one bisect
 on the own component (the epoch argument of FastTrack, Flanagan & Freund,
 PLDI 2009), and the segments below a horizon form a prefix popped from the
 head. A close costs one bisect per other thread plus one exact comparison
-per concurrent segment.
+and one race test per concurrent segment. The race test is driven by the
+stores: every witness is stored by one of the two sides, so it walks only
+the leaves of the two store sets, masks each by the other side's accesses
+on that leaf, and is done at once when neither side stores.
 
 The horizon is kept from one sync op to the next. A sync op changes only
 the syncing thread's clock, and clocks never decrease, so a column's
-minimum can move only where that thread held it and its value rose. A
-sync op therefore costs one O(n) check; the horizon is recomputed only
+minimum can move only where that thread held it and its value rose. An
+acquire therefore costs one O(n) check, and a release, which raises only
+the thread's own column, one compare; the horizon is recomputed only
 when the check fires, and the list heads are re-tested only when the
 horizon rises, at one test per dropped segment plus one per thread.
 
@@ -54,6 +58,7 @@ CLEAN = "clean"
 DIVERGED_NO_RACE = "diverged"
 
 _SYNC_EVENT, _STORE_EVENT = EventKind.SYNC, EventKind.STORE
+_CONCURRENT = Ordering.CONCURRENT
 
 
 @dataclass
@@ -208,7 +213,7 @@ class _DetectorState:
         acquire = event.sync in ACQUIRE_KINDS
         before = self.clocks.apply_sync(tid, event.obj, acquire)
         if self.gc:
-            self._collect_garbage(tid, before)
+            self._collect_garbage(tid, before, acquire)
         if self.listener is not None:
             self.listener.on_sync(self, tid, event.obj, acquire)
         return race_found and not self.all_races
@@ -248,26 +253,34 @@ class _DetectorState:
         ``epochs[u]`` skips. The suffix gets the exact concurrency test
         before its bitmaps are intersected.
         """
-        clock = seg.clock
-        for tid, (stored, epochs) in enumerate(zip(self.stored, self.epochs)):
-            if tid == seg.tid:
+        clock, me = seg.clock, seg.tid
+        loads, stores = seg.loads, seg.stores
+        compared = 0
+        for tid, stored in enumerate(self.stored):
+            end = len(stored)
+            if tid == me or not end:
                 continue  # same-thread segments are always ordered
-            start = bisect_right(epochs, clock[tid])
-            for other in stored[start:]:
-                if vc_compare(other.clock, clock) is not Ordering.CONCURRENT:
+            i = bisect_right(self.epochs[tid], clock[tid])
+            while i < end:
+                other = stored[i]
+                i += 1
+                if vc_compare(other.clock, clock) is not _CONCURRENT:
                     continue
-                self.stats.segments_compared += 1
-                witnesses = race_witnesses(seg.loads, seg.stores,
+                compared += 1
+                witnesses = race_witnesses(loads, stores,
                                            other.loads, other.stores)
                 if witnesses:
                     self.reports.append(_make_report(other, seg, witnesses))
                     if not self.all_races:
+                        self.stats.segments_compared += compared
                         return True
+        self.stats.segments_compared += compared
         return False
 
     # -- discard ----------------------------------------------------------------
 
-    def _collect_garbage(self, closing_tid: int, before: tuple):
+    def _collect_garbage(self, closing_tid: int, before: tuple,
+                         acquire: bool):
         """Advance the snooped horizon past a sync op of ``closing_tid``
         and discard the stored segments strictly below it.
 
@@ -278,6 +291,17 @@ class _DetectorState:
         column passes both tests, the horizon stays exactly as it was, and
         ``column_min`` is called only when one does.
 
+        Only an acquire can raise a column other than the thread's own: a
+        release (``UNLOCK``, ``SEM_POST``, ``CREATE``, ``EXIT``) publishes
+        ``before`` and leaves the thread at ``before`` with its own
+        component bumped by one. So after a release the own column is the
+        only one that rose, and the O(n) column check reduces to one
+        compare: did ``before`` hold that column's minimum. With one
+        thread the horizon is that thread's clock and every release
+        raises it. With more, the compare holds only at a thread's first
+        sync op: no other thread has seen the own component that a
+        release is about to publish.
+
         If the horizon did not rise, no head can be below it. The only
         segment the op can have stored is the one it closed, whose clock
         is ``before``; that was a row of the snapshot the horizon is the
@@ -286,9 +310,13 @@ class _DetectorState:
         rose or was stored since then, by this same argument. Heads are
         thus re-tested only when the horizon rises.
         """
-        after = self.clocks.threads[closing_tid]
-        if any(b == h and a > b
-               for a, b, h in zip(after, before, self.horizon)):
+        if acquire:
+            after = self.clocks.threads[closing_tid]
+            moved = any(b == h and a > b
+                        for a, b, h in zip(after, before, self.horizon))
+        else:
+            moved = before[closing_tid] == self.horizon[closing_tid]
+        if moved:
             horizon = column_min(self.clocks.snapshot())
             if horizon != self.horizon:
                 self.horizon = horizon

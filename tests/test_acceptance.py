@@ -18,7 +18,6 @@ from racereplay.cli import main
 from racereplay.detector import CLEAN, RACE, LiveSegmentProbe, detect
 from racereplay.generator import generate_program
 from racereplay.identify import identify
-from racereplay.machine import run
 from racereplay.oracle import (HbOracle, brute_force_detect, build_segments,
                                segments_ordered)
 from racereplay.program import parse_program

@@ -121,6 +121,31 @@ def test_race_witnesses_forced_cases(impl):
     # read-read does not
     assert impl.race_witnesses(filled(impl, [0x100]), empty,
                                filled(impl, [0x100]), empty) == []
+    leaf, root = 1 << 14, 1 << 23  # the next leaf of a root, the next root
+    cases = [
+        # both sides load-only: no store set, so no witness
+        ({0x100, leaf, root}, set(), {0x100, leaf, root}, set(), []),
+        # one side store-only against nothing, and against loads
+        (set(), {0x100, root}, set(), set(), []),
+        (set(), {0x100, leaf + 4, root}, {0x100, root, 2 * root}, set(),
+         [0x100, root]),
+        # both sides store-only: write-write on the shared address
+        (set(), {0x100, root}, set(), {0x104, root}, [root]),
+        # witnesses on three leaves of one root, from both sides' stores;
+        # 3 * leaf is loaded and stored by the same side only
+        ({0x10, leaf + 0x10}, {2 * leaf + 8},
+         {2 * leaf + 8, 3 * leaf}, {0x10, leaf + 0x10, 3 * leaf},
+         [0x10, leaf + 0x10, 2 * leaf + 8]),
+        # witnesses on four roots, up to the last one
+        ({root + 1}, {0x20, 3 * root + 5, 511 * root + 7},
+         {0x20, 511 * root + 7}, {root + 1, 3 * root + 5, 2 * root},
+         [0x20, root + 1, 3 * root + 5, 511 * root + 7]),
+    ]
+    for la, sa, lb, sb, expected in cases:
+        assert _reference_witnesses(la, sa, lb, sb) == expected
+        bitmaps = [filled(impl, s) for s in (la, sa, lb, sb)]
+        assert impl.race_witnesses(*bitmaps) == expected
+        assert impl.race_witnesses(*bitmaps[2:], *bitmaps[:2]) == expected
 
 
 def _reference_witnesses(la, sa, lb, sb):
@@ -129,13 +154,24 @@ def _reference_witnesses(la, sa, lb, sb):
 
 def test_race_witnesses_against_brute_force(impl):
     rng = random.Random(99)
-    pool = [rng.getrandbits(32) for _ in range(600)]
-    for trial in range(40):
-        sets = [set(rng.choices(pool, k=rng.randrange(1, 120))) for _ in range(4)]
-        la, sa, lb, sb = sets
-        got = impl.race_witnesses(filled(impl, la), filled(impl, sa),
-                                  filled(impl, lb), filled(impl, sb))
-        assert got == _reference_witnesses(la, sa, lb, sb)
+    # Addresses over many roots, and over four leaves of one root, where
+    # witnesses share leaves.
+    pools = ([rng.getrandbits(32) for _ in range(600)],
+             [0x40000000 + rng.randrange(4 << 14) for _ in range(600)])
+    for pool in pools:
+        for trial in range(40):
+            sizes = [rng.randrange(1, 120) for _ in range(4)]
+            if trial % 4 == 1:  # both sides load-only
+                sizes[1] = sizes[3] = 0
+            elif trial % 4 == 2:  # side a store-only
+                sizes[0] = 0
+            elif trial % 4 == 3:  # side b stores nothing, side a only stores
+                sizes[0] = sizes[3] = 0
+            sets = [set(rng.choices(pool, k=k)) for k in sizes]
+            la, sa, lb, sb = sets
+            got = impl.race_witnesses(filled(impl, la), filled(impl, sa),
+                                      filled(impl, lb), filled(impl, sb))
+            assert got == _reference_witnesses(la, sa, lb, sb)
 
 
 def test_race_witnesses_symmetric(impl):

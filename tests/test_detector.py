@@ -290,6 +290,12 @@ def _epoch_programs():
     yield workloads.producer_consumer(120, 4), 1
     yield generate_program(7, threads=16, ops_per_thread=60,
                            lock_density=1.0), 7
+    # With one thread the horizon is its own clock, so every release
+    # raises it; with more, a release never does, since no other thread
+    # has yet seen the syncing thread's own component.
+    yield ("mutex m\nthread 0:\n"
+           + "  LOAD r0 0x1000\n  LOCK m\n  STORE r0 0x1000\n  UNLOCK m\n" * 3
+           + "  EXIT\n"), 1
 
 
 def test_epoch_lemma_and_per_thread_prefix_order():
@@ -329,15 +335,18 @@ def _counting(monkeypatch, name):
 
 
 def test_scan_and_discard_work_bound(monkeypatch):
-    # Only concurrent segments are compared, and each thread's discard
-    # stops at the first segment that stays.
+    # Only concurrent segments are compared, each compared pair gets
+    # exactly one race test, and each thread's discard stops at the first
+    # segment that stays.
     compares = _counting(monkeypatch, "vc_compare")
+    tests = _counting(monkeypatch, "race_witnesses")
     below = _counting(monkeypatch, "vc_strictly_below")
     prog = parse_program(generate_program(3, threads=16, ops_per_thread=200))
     rec = record_execution(prog, 1)
     st = detect(prog, rec.trace, all_races=True).stats
     assert st.segments_compared > 0
     assert compares[0] == st.segments_compared
+    assert tests[0] == st.segments_compared
     assert below[0] <= st.sync_events * prog.n_threads + st.segments_discarded
 
 
@@ -348,8 +357,8 @@ def test_kept_horizon_is_exact_and_no_head_is_below_it(monkeypatch):
     real = detector_mod._DetectorState._collect_garbage
     seen = {}
 
-    def checked(state, tid, before):
-        real(state, tid, before)
+    def checked(state, tid, before, acquire):
+        real(state, tid, before, acquire)
         horizon = column_min(state.clocks.snapshot())
         assert state.horizon == horizon
         for stored in state.stored:
