@@ -53,11 +53,10 @@ def _write_lines(path: str, lines) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _record_summary(rec) -> list:
-    blob = rec.trace.to_bytes()
-    bits = (len(blob) * 8 / rec.sync_ops) if rec.sync_ops else 0.0
+def _record_summary(rec, trace_bytes: int) -> list:
+    bits = (trace_bytes * 8 / rec.sync_ops) if rec.sync_ops else 0.0
     return [("sync ops", str(rec.sync_ops)),
-            ("trace bytes", str(len(blob))),
+            ("trace bytes", str(trace_bytes)),
             ("bits per sync op", f"{bits:.2f}")]
 
 
@@ -81,9 +80,9 @@ def cmd_record(args) -> int:
     program = load_program(args.program)
     rec = record_execution(program, args.seed)
     out = args.output or args.program + ".trace"
-    rec.trace.write(out)
+    size = rec.trace.write(out)
     print(f"trace written to {out}")
-    for line in summary_lines(_record_summary(rec)):
+    for line in summary_lines(_record_summary(rec, size)):
         print(line)
     return EXIT_CLEAN
 
@@ -163,10 +162,11 @@ def cmd_pipeline(args) -> int:
     rec = record_execution(program, args.seed)
     prefix = args.out_prefix or args.program
     trace_path = prefix + ".trace"
-    rec.trace.write(trace_path)
+    size = rec.trace.write(trace_path)
 
     result = _run_detect(program, rec.trace, args)
-    entries = [("status", result.status)] + _record_summary(rec) + _detect_summary(result)
+    entries = ([("status", result.status)] + _record_summary(rec, size)
+               + _detect_summary(result))
 
     code = EXIT_CLEAN
     if result.status == RACE:

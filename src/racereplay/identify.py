@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .detector import RaceReport
-from .errors import IdentifyError, MismatchError
+from .errors import IdentifyError
 from .machine import EventKind
 from .program import Program
 from .replay import DIVERGED, replay_execution
@@ -64,9 +64,11 @@ class _Collector:
 
 def identify(program: Program, trace: SyncTrace, report: RaceReport,
              replay_seed: int = 0) -> tuple:
-    """Returns (InstructionSite, InstructionSite), one per report side."""
-    if trace.digest != program.digest():
-        raise MismatchError("trace does not match program (digest mismatch)")
+    """Returns (InstructionSite, InstructionSite), one per report side.
+
+    Raises ``MismatchError`` from the replay when the trace is not this
+    program's.
+    """
     collector = _Collector(report)
     result = replay_execution(program, trace, observer=collector,
                               replay_seed=replay_seed)

@@ -35,11 +35,13 @@ step:
   unblock together, and only a gate step on that object changes them. A
   plain step (LOAD, STORE, ADDI, SET) never blocks and changes no state
   that blocking reads.
-* The hooks are first asked at the first point the thread can run at
-  its op: when it reaches a gate op that is not blocked, or when its
-  object frees. That is where a full recomputation would first ask them,
-  so a hook with side effects on its first refusal (the replay gate's
-  over-budget set) sees the same threads. Plain ops are never vetoed.
+* The hooks are asked only about gate ops that emit a SYNC event (a
+  START, a sync op, a joined thread's EXIT), first at the first point the
+  thread can run there: when it reaches the op with its object free, or
+  when its object frees. That is where a full recomputation would first
+  ask them, so a hook with side effects on its first refusal (the replay
+  gate's over-budget set) sees the same threads. Plain ops and an EXIT
+  that no thread joins are never vetoed.
 * The gate is monotone. An answer is kept for the thread's current op.
   A True answer stays True until the thread steps; a False answer may
   turn True only after a gate step, and only for the threads that
@@ -53,13 +55,16 @@ caller that needs the stream keeps it there.
 
 ``Machine.run`` is the one step loop. It inlines the splitmix64 draw and
 runs plain steps itself, with the machine's state in local variables and
-events built straight from tuples; only gate steps call out, to ``_step``
-and ``_after_gate``. With one runnable thread the draw's output is not
-mixed (any value mod 1 is 0), but the state still advances, so the
-generator state after ``s`` steps is ``seed + s * _GOLDEN`` mod 2**64
-whichever threads ran. ``pc``, ``regs``, ``memory`` and ``status`` are
-current whenever a hook runs; ``steps`` and the generator state are
-written back when ``run`` returns or raises.
+events built straight from tuples; only gate steps call out. ``_step``
+applies the op's state change and its waiter-mask change and reports the
+threads it frees; after ``on_event``, ``_after_gate`` asks the hooks about
+those and the rechecked threads, and brings the thread to its next op.
+With one runnable thread the draw's output is not mixed (any value mod 1
+is 0), but the state still advances, so the generator state after ``s``
+steps is ``seed + s * _GOLDEN`` mod 2**64 whichever threads ran. ``pc``,
+``regs``, ``memory`` and ``status`` are current whenever a hook runs;
+``steps`` and the generator state are written back when ``run`` returns
+or raises.
 """
 
 from __future__ import annotations
@@ -149,13 +154,14 @@ class ExecutionHooks:
     def permits(self, machine: "Machine", tid: int) -> bool:
         """Whether the thread, which can otherwise run, may take its next step.
 
-        Asked only when the next step is a gate step (a START, a sync op
-        or an EXIT), first at the first point the thread can run there:
-        when it reaches the op with its object free, or when the object
-        frees. The machine keeps the answer for that op. True is final
-        until the thread steps. False is asked again only after a gate
-        step, and only if ``recheck`` names the thread; so an answer may
-        turn from False to True only through state that gate steps change.
+        Asked only about gate ops that emit a SYNC event (a START, a sync
+        op, a joined thread's EXIT), first at the first point the thread
+        can run there: when it reaches the op with its object free, or
+        when the object frees. The machine keeps the answer for that op.
+        True is final until the thread steps. False is asked again only
+        after a gate step, and only if ``recheck`` names the thread; so an
+        answer may turn from False to True only through state that gate
+        steps change.
         """
         return True
 
@@ -209,7 +215,6 @@ class Machine:
         self.memory = dict(program.initial_memory)
         self.mutex_owner = {oid: None for oid in program.mutexes.values()}
         self.sem_count = dict(program.sem_initials())
-        self.sync_done = [0] * n  # sync events emitted per thread
         self.events: list[Event] = []  # filled only in a run without hooks
         self.steps = 0
         # Thread-id bitmasks; see the module docstring.
@@ -217,31 +222,6 @@ class Machine:
         self.blocked = 0    # waiting on an object that cannot be taken now
         self.permitted = 0  # at a plain op, or the hooks allowed the current op
         self.vetoed = 0     # the hooks refused the current op
-
-    # -- introspection used by replay hooks ---------------------------------
-
-    def next_sync(self, tid: int):
-        """(SyncKind, object id) if the thread's next step is a sync op, else None."""
-        prog = self.program
-        if self.needs_start[tid]:
-            return _START_SYNC, prog.create_obj[tid]
-        op, a, _ = prog.threads[tid][self.pc[tid]]
-        if op is _EXIT:
-            if tid in prog.join_targets:
-                return _EXIT_SYNC, prog.exit_obj[tid]
-            return None
-        kind = _OP_SYNC.get(op)
-        if kind is None:
-            return None
-        return kind, self._sync_obj(op, a)
-
-    def _sync_obj(self, op, a: int) -> int:
-        """The object a sync instruction acts on."""
-        if op is _CREATE:
-            return self.program.create_obj[a]
-        if op is _JOIN:
-            return self.program.exit_obj.get(a, -1)
-        return a
 
     # -- scheduling ----------------------------------------------------------
 
@@ -264,15 +244,15 @@ class Machine:
         bit = 1 << tid
         self.permitted &= ~bit
         if not self.needs_start[tid]:
-            op, a, _ = self.program.threads[tid][self.pc[tid]]
+            prog = self.program
+            op, a, _ = prog.threads[tid][self.pc[tid]]
             if op is _LOCK:
                 obj, free = a, self.mutex_owner[a] is None
             elif op is _SEM_WAIT:
                 obj, free = a, self.sem_count[a] > 0
             elif op is _JOIN:
-                obj = self.program.exit_obj[a]
-                free = self.status[a] is _EXITED
-            elif op in _PLAIN_OPS:
+                obj, free = prog.exit_obj[a], self.status[a] is _EXITED
+            elif op in _PLAIN_OPS or op is _EXIT and tid not in prog.join_targets:
                 self.permitted |= bit
                 return
             else:
@@ -290,42 +270,19 @@ class Machine:
         self.blocked &= ~freed
         return freed & ~self.permitted & ~self.vetoed
 
-    def _after_gate(self, tid: int, ins) -> None:
-        """Update the masks after a START (``ins`` None), sync op or EXIT step."""
-        bit = 1 << tid
-        waiters = self.waiters
-        ask = 0
-        op = None
-        if ins is not None:
-            op, a, _ = ins
-            if op is _LOCK:
-                waiters[a] &= ~bit
-                self.blocked |= waiters[a]
-            elif op is _UNLOCK:
-                ask = self._release(a)
-            elif op is _SEM_WAIT:
-                waiters[a] &= ~bit
-                if self.sem_count[a] == 0:
-                    self.blocked |= waiters[a]
-            elif op is _SEM_POST:
-                if self.sem_count[a] == 1:
-                    ask = self._release(a)
-            elif op is _JOIN:
-                waiters[self.program.exit_obj[a]] &= ~bit
-            elif op is _EXIT:
-                self.permitted &= ~bit
-                if tid in self.program.join_targets:
-                    ask = self._release(self.program.exit_obj[tid])
-        if self.hooks is not None and self.vetoed:
-            again = self.hooks.recheck(self, self.vetoed) & self.vetoed
-            self.vetoed &= ~again
+    def _after_gate(self, tid: int, ask: int) -> None:
+        """After a gate step's event: ask the hooks about the threads the
+        step freed (``ask``) and those ``recheck`` names, then bring the
+        thread to its next op."""
+        vetoed = self.vetoed  # nonzero only in a run with hooks
+        if vetoed:
+            again = self.hooks.recheck(self, vetoed) & vetoed
+            self.vetoed = vetoed & ~again
             ask |= again & ~self.blocked
         if ask:
             self._ask(ask)
-        if op is _CREATE:
-            self._arrive(a)
         # The thread just ran, so it is permitted: a plain next op keeps it so.
-        if op is not _EXIT and \
+        if self.status[tid] is not _EXITED and \
                 self.program.threads[tid][self.pc[tid]][0] not in _PLAIN_OPS:
             self._arrive(tid)
 
@@ -367,40 +324,59 @@ class Machine:
     def _step(self, tid: int, ins, seq: int):
         """Execute one gate step: START (``ins`` None), a sync op or EXIT.
 
-        Plain steps run inline in ``run``. Returns the step's SYNC event,
-        numbered ``seq``, or None for an EXIT that no thread joins.
+        Plain steps run inline in ``run``. Applies the op's state change
+        and its change to the waiter masks. Returns the step's SYNC event,
+        numbered ``seq`` (None for an EXIT that no thread joins), and the
+        threads the step frees that the hooks have not been asked about.
         """
         prog = self.program
         if ins is None:
             self.needs_start[tid] = False
-            ordinal, obj, sync = -1, prog.create_obj[tid], _START_SYNC
-        else:
-            op, a, _ = ins
-            ordinal = self.pc[tid]
-            if op is _EXIT:
-                self.status[tid] = _EXITED
-                if tid not in prog.join_targets:
-                    return None
-                obj, sync = prog.exit_obj[tid], _EXIT_SYNC
-            else:
-                if op is _LOCK:
-                    self.mutex_owner[a] = tid
-                elif op is _UNLOCK:
-                    if self.mutex_owner[a] != tid:
-                        raise MachineError(
-                            f"thread {tid} unlocks {prog.obj_names[a]} it does not hold")
-                    self.mutex_owner[a] = None
-                elif op is _SEM_WAIT:
-                    self.sem_count[a] -= 1
-                elif op is _SEM_POST:
-                    self.sem_count[a] += 1
-                elif op is _CREATE:
-                    self.status[a] = _READY
-                    self.needs_start[a] = True
-                obj, sync = self._sync_obj(op, a), _OP_SYNC[op]
-                self.pc[tid] = ordinal + 1
-        self.sync_done[tid] += 1
-        return _new_tuple(Event, (seq, tid, _SYNC_EVENT, -1, ordinal, obj, sync))
+            return _new_tuple(Event, (seq, tid, _SYNC_EVENT, -1, -1,
+                                      prog.create_obj[tid], _START_SYNC)), 0
+        op, obj, _ = ins
+        bit = 1 << tid
+        waiters = self.waiters
+        ordinal = self.pc[tid]
+        ask = 0
+        if op is _LOCK:
+            self.mutex_owner[obj] = tid
+            waiters[obj] &= ~bit
+            self.blocked |= waiters[obj]
+        elif op is _UNLOCK:
+            if self.mutex_owner[obj] != tid:
+                raise MachineError(
+                    f"thread {tid} unlocks {prog.obj_names[obj]} it does not hold")
+            self.mutex_owner[obj] = None
+            ask = self._release(obj)
+        elif op is _SEM_WAIT:
+            self.sem_count[obj] -= 1
+            waiters[obj] &= ~bit
+            if not self.sem_count[obj]:
+                self.blocked |= waiters[obj]
+        elif op is _SEM_POST:
+            self.sem_count[obj] += 1
+            if self.sem_count[obj] == 1:
+                ask = self._release(obj)
+        elif op is _CREATE:
+            self.status[obj] = _READY
+            self.needs_start[obj] = True
+            ask = 1 << obj  # the new thread arrives at its START
+            obj = prog.create_obj[obj]
+        elif op is _JOIN:
+            obj = prog.exit_obj[obj]
+            waiters[obj] &= ~bit
+        else:  # EXIT
+            self.status[tid] = _EXITED
+            self.permitted &= ~bit
+            if tid not in prog.join_targets:
+                return None, 0
+            obj = prog.exit_obj[tid]
+            return _new_tuple(Event, (seq, tid, _SYNC_EVENT, -1, ordinal, obj,
+                                      _EXIT_SYNC)), self._release(obj)
+        self.pc[tid] = ordinal + 1
+        return _new_tuple(Event, (seq, tid, _SYNC_EVENT, -1, ordinal, obj,
+                                  _OP_SYNC[op])), ask
 
     def run(self) -> RunResult:
         """Run to completion, a hook's stop request, or a deadlock.
@@ -462,7 +438,7 @@ class Machine:
                     regs[tid][a] = b & WORD_MASK
                     pc[tid] = p + 1
                 else:
-                    ev = self._step(tid, ins, seq)
+                    ev, ask = self._step(tid, ins, seq)
                     if ev is not None:
                         seq += 1
                         if on_event is None:
@@ -471,7 +447,7 @@ class Machine:
                             return RunResult(memory, events, steps, stopped=True)
                     if op is _EXIT:
                         live -= 1
-                    self._after_gate(tid, ins)
+                    self._after_gate(tid, ask)
                     now = self.permitted & ~self.blocked
                     if now != runnable:
                         runnable = now

@@ -15,6 +15,7 @@ not a divergence.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -41,14 +42,19 @@ class ReplayResult:
 class _ReplayHooks(ExecutionHooks):
     """The replay gate: a sync op runs once no smaller stamp is unexecuted.
 
-    A refused thread is parked under the stamp it waits for, and
-    ``recheck`` hands it back when the frontier reaches that stamp. This
-    is exact. A thread's next stamp changes only when the thread itself
-    executes a sync op, and the frontier only rises, so the answer for its
-    current op turns from False to True only when the frontier reaches
-    that stamp. The frontier never passes an unexecuted stamp, so it stops
-    at that one before it moves on. A thread past its recorded sync count
-    is refused for good and never parked.
+    The machine asks only about gate ops that emit a SYNC event, so each
+    question is about the thread's next recorded stamp. A thread past its
+    recorded sync count is refused for good. The frontier is the smallest
+    unexecuted stamp. The thread's stamp is unexecuted, so it is never
+    below the frontier, and the op may run exactly when the two are equal.
+    A refused thread is parked under its stamp, and ``recheck`` hands back
+    the threads parked at the frontier's stamp. That one stamp is enough:
+    a parked stamp is unexecuted, so the frontier never passes it, and the
+    thread's next stamp changes only when the thread itself executes a
+    sync op. The frontier moves only at a SYNC event, and the machine
+    calls ``recheck`` after every gate step while any thread is refused,
+    so each parked thread is handed back at the first recheck that finds
+    the frontier at its stamp.
     """
 
     def __init__(self, stamps, observer):
@@ -57,16 +63,10 @@ class _ReplayHooks(ExecutionHooks):
         self.done = [0] * len(stamps)  # sync ops executed per thread
         self.over_budget: set[int] = set()
         # Global stall frontier: smallest recorded timestamp not yet executed.
-        all_stamps = sorted(ts for per_thread in stamps for ts in per_thread)
-        self.order = sorted(set(all_stamps))
-        self.remaining = {}
-        for ts in all_stamps:
-            self.remaining[ts] = self.remaining.get(ts, 0) + 1
+        self.remaining = Counter(ts for per_thread in stamps for ts in per_thread)
+        self.order = sorted(self.remaining)
         self.frontier = 0
-        # Threads refused at the gate, by the stamp each waits for; stamps
-        # at order indices below ``released`` have been handed back.
-        self.parked: dict[int, int] = {}
-        self.released = 0
+        self.parked: dict[int, int] = {}  # stamp -> threads refused at it
 
     def _frontier_stamp(self):
         while self.frontier < len(self.order) and self.remaining[self.order[self.frontier]] == 0:
@@ -76,30 +76,19 @@ class _ReplayHooks(ExecutionHooks):
         return None
 
     def permits(self, machine: Machine, tid: int) -> bool:
-        if machine.next_sync(tid) is None:
-            return True
         k = self.done[tid]
         if k >= len(self.stamps[tid]):
             self.over_budget.add(tid)
             return False
         stamp = self.stamps[tid][k]
-        horizon = self._frontier_stamp()
-        if horizon is None or stamp <= horizon:
+        if stamp == self._frontier_stamp():
             return True
         self.parked[stamp] = self.parked.get(stamp, 0) | 1 << tid
         return False
 
     def recheck(self, machine: Machine, vetoed: int) -> int:
-        """The parked threads whose stamp the frontier has reached."""
-        self._frontier_stamp()
-        if self.released > self.frontier:
-            return 0
-        due = 0
-        parked = self.parked
-        for i in range(self.released, min(self.frontier + 1, len(self.order))):
-            due |= parked.pop(self.order[i], 0)
-        self.released = self.frontier + 1
-        return due
+        """The threads parked at the frontier's stamp."""
+        return self.parked.pop(self._frontier_stamp(), 0)
 
     def on_event(self, machine: Machine, event: Event):
         if event.kind is _SYNC_EVENT:
@@ -111,7 +100,7 @@ class _ReplayHooks(ExecutionHooks):
         return None
 
     def unexecuted(self) -> int:
-        return sum(self.remaining.values())
+        return self.remaining.total()
 
 
 def replay_execution(program: Program, trace: SyncTrace,

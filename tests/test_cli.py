@@ -49,6 +49,8 @@ def test_pipeline_clean_exit(clean, capsys):
     assert "no race" in out
     assert "status=clean" in out
     assert "bits per sync op" in out
+    printed = [line for line in out.splitlines() if line.startswith("trace_bytes=")]
+    assert printed == [f"trace_bytes={os.path.getsize(clean + '.trace')}"]
 
 
 def test_missing_file_usage_error(capsys):

@@ -4,6 +4,7 @@ import pytest
 
 from _helpers import CountingHooks, per_object_sync_sequences, replay_events
 
+import racereplay.replay as replay_mod
 from racereplay import workloads
 from racereplay.errors import MismatchError
 from racereplay.generator import generate_program
@@ -140,3 +141,46 @@ def test_gate_work_is_bounded_by_sync_ops(monkeypatch, threads, ops):
     monkeypatch.setattr(_ReplayHooks, "permits", counted)
     assert replay_execution(prog, rec.trace).verdict == OK
     assert calls <= bound
+
+
+def test_recheck_hands_back_only_threads_at_the_frontier(monkeypatch):
+    # A parked stamp is unexecuted and the frontier never passes an
+    # unexecuted stamp, so every thread recheck hands back waits for the
+    # frontier's own stamp, and an OK replay leaves no thread parked. Each
+    # program is replayed under its honest trace and under one with a
+    # stamp raised, which parks threads that would otherwise run.
+    gates = []
+    handed = 0
+
+    class Checked(_ReplayHooks):
+        def __init__(self, stamps, observer):
+            super().__init__(stamps, observer)
+            gates.append(self)
+
+        def recheck(self, machine, vetoed):
+            nonlocal handed
+            due = super().recheck(machine, vetoed)
+            frontier = self._frontier_stamp()
+            for tid, stamps in enumerate(self.stamps):
+                if due >> tid & 1:
+                    assert stamps[self.done[tid]] == frontier
+                    handed += 1
+            return due
+
+    monkeypatch.setattr(replay_mod, "_ReplayHooks", Checked)
+    for i in range(40):
+        prog = parse_program(generate_program(seed=700 + i, threads=2 + i % 6,
+                                              ops_per_thread=30,
+                                              lock_density=i % 5 / 4))
+        rec = record_execution(prog, i)
+        raised = [list(stamps) for stamps in rec.trace.stamps]
+        busiest = max(raised, key=len)
+        busiest[i % len(busiest)] += 1 + i % 3
+        for stamps in (rec.trace.stamps, raised):
+            trace = SyncTrace(seed=i, digest=rec.trace.digest, stamps=stamps)
+            gates.clear()
+            result = replay_execution(prog, trace, replay_seed=i)
+            assert result.verdict == OK or stamps is raised
+            if result.verdict == OK:
+                assert gates[0].parked == {}
+    assert handed > 0

@@ -1,5 +1,6 @@
 """Repository hygiene: git tracks no file that .gitignore marks as
-generated, and no module imports a name it never reads."""
+generated, no module imports a name it never reads, and every function
+under ``src/`` is used somewhere."""
 
 import ast
 import shutil
@@ -78,3 +79,78 @@ def test_unused_import_check_sees_reads_in_all_and_string_annotations():
         "    return os.sep, d\n"
         "y: 'g' = 1\n")
     assert _unused_imports(tree) == [(3, "b")]
+
+
+def _defs_and_refs(tree):
+    """(line, name) of each function defined in the module, and the names
+    it refers to outside the definitions of those names.
+
+    A name is referred to by a load, an attribute or an equal string
+    constant (``getattr`` and ``monkeypatch.setattr`` name methods so).
+    """
+    defs, refs = [], set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defs.append((node.lineno, node.name))
+            inside = inside | {node.name}
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        else:
+            name = None
+        if name is not None and name not in inside:
+            refs.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, frozenset())
+    return defs, refs
+
+
+def _unreferenced_functions(sources, users) -> list:
+    """(source, line, name) of each function or method defined in
+    ``sources`` that no module of ``sources`` or ``users`` refers to
+    outside its own definition. ``sources`` and ``users`` map a label to
+    a parsed module. Dunder methods are called implicitly and skipped."""
+    defs, refs = [], set()
+    for label, tree in {**users, **sources}.items():
+        found, used = _defs_and_refs(tree)
+        refs |= used
+        if label in sources:
+            defs += [(label, line, name) for line, name in found]
+    return sorted((label, line, name) for label, line, name in defs
+                  if name not in refs
+                  and not (name.startswith("__") and name.endswith("__")))
+
+
+def _parsed(top: str) -> dict:
+    return {str(path.relative_to(ROOT)):
+            ast.parse(path.read_text(encoding="utf-8"), str(path))
+            for path in sorted((ROOT / top).rglob("*.py"))}
+
+
+def test_every_function_under_src_is_used():
+    users = {**_parsed("tests"), **_parsed("perfbench")}
+    assert _unreferenced_functions(_parsed("src"), users) == []
+
+
+def test_unused_function_check_ignores_self_reference_only():
+    source = ast.parse(
+        "class A:\n"
+        "    def __init__(self): self.walk(0)\n"
+        "    def walk(self, n): return self.walk(n - 1) if n else 0\n"
+        "    def spin(self): return self.spin()\n"
+        "    def named(self): pass\n"
+        "def helper(): pass\n"
+        "def unused():\n"
+        "    def inner(): pass\n"
+        "    return inner\n")
+    user = ast.parse("from m import helper\n"
+                     "helper()\n"
+                     "setattr(A, 'named', None)\n")
+    assert _unreferenced_functions({"m": source}, {"u": user}) == [
+        ("m", 4, "spin"), ("m", 7, "unused")]
