@@ -12,6 +12,14 @@ is a Python int used as a 16384-bit set, which takes only as many bytes
 as its highest member needs. Storage is still accounted as 2 KiB per
 materialised node (root, table or leaf): the size of a 16384-bit leaf,
 or of a 512-slot table of 32-bit entries.
+
+Each set also keeps a signature, ``sig``: a 64-bit int with one bit set
+per member, at ``((addr * 0x9E3779B1) & 0xFFFFFFFF) >> 26`` (the top six
+bits of a Fibonacci hash), after the signatures of Bulk (Ceze et al.,
+ISCA 2006). An address in two sets sets the same bit in both, so two sets
+whose signatures share no bit share no address, and ``race_witnesses``
+answers such a pair without walking a leaf. The signature is one word per
+bitmap, outside the 2 KiB-per-node accounting.
 """
 
 from __future__ import annotations
@@ -19,16 +27,18 @@ from __future__ import annotations
 NODE_PAYLOAD = 2048  # modeled bytes per node (root, table, or leaf)
 
 _ADDR_MASK = 0xFFFFFFFF
+_SIG_MUL = 0x9E3779B1  # 2**32 / golden ratio, odd
 
 
 class MultilevelBitmap:
     """Mutable address set; insert/contains/first_common over 32-bit words."""
 
-    __slots__ = ("_root", "_count")
+    __slots__ = ("_root", "_count", "sig")
 
     def __init__(self):
         self._root = {}  # root index -> {mid index -> int leaf bitset}
         self._count = 0
+        self.sig = 0  # one bit per member's hash; see the module docstring
 
     # -- mutation / lookup ----------------------------------------------------
 
@@ -42,6 +52,7 @@ class MultilevelBitmap:
         if not leaf & bit:
             mid[m] = leaf | bit
             self._count += 1
+            self.sig |= 1 << (((addr * _SIG_MUL) & _ADDR_MASK) >> 26)
 
     def contains(self, addr: int) -> bool:
         mid = self._root.get(addr >> 23)
@@ -103,14 +114,24 @@ def race_witnesses(loads_a, stores_a, loads_b, stores_b):
     Every witness is stored by one side, so only the leaves of the two
     store sets are walked: each is masked by the other side's loads and
     stores on the same leaf. Only leaves that hold a witness are sorted.
+
+    Each store set is walked only when its signature meets that of the
+    accesses it is masked by: ``Sa`` against ``Lb | Sb``, and ``Sb``
+    against ``La`` alone, since ``Sb ∩ Sa`` is in the first term. Sets
+    that share an address share its signature bit, so a skipped walk
+    could have found nothing, and a pair whose signatures meet nowhere is
+    answered ``[]`` in O(1).
     """
-    sa, sb = stores_a._root, stores_b._root
-    if not sa and not sb:
+    sig_sa, sig_sb = stores_a.sig, stores_b.sig
+    walk_a = sig_sa & (loads_b.sig | sig_sb)
+    walk_b = sig_sb & loads_a.sig
+    if not (walk_a or walk_b):
         return []
+    sa, sb = stores_a._root, stores_b._root
     hits = {}  # (root << 9 | mid) -> witness bits on that leaf
-    if sa:
+    if walk_a:
         _store_hits(sa, loads_b._root, sb, hits)
-    if sb:
+    if walk_b:
         _store_hits(sb, loads_a._root, sa, hits)
     out = []
     for leaf in sorted(hits):

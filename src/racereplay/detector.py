@@ -18,11 +18,14 @@ increase. That order does the work of both steps: the stored segments of
 a thread that precede a closing segment form a prefix found by one bisect
 on the own component (the epoch argument of FastTrack, Flanagan & Freund,
 PLDI 2009), and the segments below a horizon form a prefix popped from the
-head. A close costs one bisect per other thread plus one exact comparison
-and one race test per concurrent segment. The race test is driven by the
-stores: every witness is stored by one of the two sides, so it walks only
-the leaves of the two store sets, masks each by the other side's accesses
-on that leaf, and is done at once when neither side stores.
+head. A close costs one C-level pass over the n threads' newest own
+components, which picks the threads holding a concurrent segment, and one
+bisect for each of them. Then, per concurrent segment, it costs one exact
+comparison and one race test. The race test is driven by the stores: every
+witness is stored by one of the two sides, so it walks only the leaves of
+the two store sets, masks each by the other side's accesses on that leaf,
+and is O(1) unless the address signatures of a store set and the accesses
+it is masked by meet.
 
 The horizon is kept from one sync op to the next. A sync op changes only
 the syncing thread's clock, and clocks never decrease, so a column's
@@ -43,6 +46,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import compress, count
+from operator import and_, eq, gt, lt
 from typing import Optional
 
 from .bitmap import MultilevelBitmap, race_witnesses
@@ -61,7 +66,7 @@ _SYNC_EVENT, _STORE_EVENT = EventKind.SYNC, EventKind.STORE
 _CONCURRENT = Ordering.CONCURRENT
 
 
-@dataclass
+@dataclass(slots=True)
 class Segment:
     tid: int
     index: int
@@ -185,51 +190,54 @@ class _DetectorState:
         self.closed_count = [0] * n
         # stored[tid] lists the thread's live segments in index order, and
         # epochs[tid] their own clock components, for the scan's bisect.
+        # newest[tid] is the own component of the newest segment the thread
+        # stored, kept when discard empties the list; the scan's filter.
         self.stored = [[] for _ in range(n)]
         self.epochs = [[] for _ in range(n)]
+        self.newest = [0] * n
         self.reports: list[RaceReport] = []
         self.stats = DetectStats()
 
     # -- events ---------------------------------------------------------------
 
     def on_event(self, machine, event) -> bool:
-        kind = event.kind
+        kind, tid = event.kind, event.tid
+        seg = self.open[tid]
         if kind is _SYNC_EVENT:
             self.stats.sync_events += 1
-            return self._on_sync(event)
+            found = seg is not None and self._close(seg)
+            # Clock updates happen at the sync op itself, after the segment
+            # ends.
+            acquire = event.sync in ACQUIRE_KINDS
+            before = self.clocks.apply_sync(tid, event.obj, acquire)
+            if self.gc:
+                self._collect_garbage(tid, before, acquire)
+            if self.listener is not None:
+                self.listener.on_sync(self, tid, event.obj, acquire)
+            return found and not self.all_races
         self.stats.mem_events += 1
-        seg = self.open[event.tid]
         if seg is None:
-            seg = self.open[event.tid] = Segment(
-                event.tid, self.closed_count[event.tid],
+            seg = self.open[tid] = Segment(
+                tid, self.closed_count[tid],
                 MultilevelBitmap(), MultilevelBitmap())
         (seg.stores if kind is _STORE_EVENT else seg.loads).insert(event.addr)
         return False
 
-    def _on_sync(self, event) -> bool:
-        tid = event.tid
-        race_found = self._close_open_segment(tid)
-        # Clock updates happen at the sync op itself, after the segment ends.
-        acquire = event.sync in ACQUIRE_KINDS
-        before = self.clocks.apply_sync(tid, event.obj, acquire)
-        if self.gc:
-            self._collect_garbage(tid, before, acquire)
-        if self.listener is not None:
-            self.listener.on_sync(self, tid, event.obj, acquire)
-        return race_found and not self.all_races
-
-    def _close_open_segment(self, tid: int) -> bool:
-        seg = self.open[tid]
+    def _close(self, seg: Segment) -> bool:
+        """Close ``seg``, its thread's open segment: scan, then store it."""
+        tid = seg.tid
         self.open[tid] = None
-        if seg is None:
-            return False
-        seg.clock = self.clocks.threads[tid]
+        seg.clock = clock = self.clocks.threads[tid]
         self.closed_count[tid] += 1
         found = self._scan_for_races(seg)
         self.stored[tid].append(seg)
-        self.epochs[tid].append(seg.clock[tid])
-        self.stats.segments_created += 1
-        self._note_live()
+        self.epochs[tid].append(clock[tid])
+        self.newest[tid] = clock[tid]
+        stats = self.stats
+        stats.segments_created += 1
+        live = stats.segments_created - stats.segments_discarded
+        if live > stats.segments_max_live:
+            stats.segments_max_live = live
         if self.listener is not None:
             self.listener.on_close(self, seg)
         return found
@@ -252,18 +260,38 @@ class _DetectorState:
         segments found this way are the prefix that ``bisect_right`` on
         ``epochs[u]`` skips. The suffix gets the exact concurrency test
         before its bitmaps are intersected.
+
+        The converse holds too: if ``k > seg.clock[u]``, ``other`` is
+        concurrent with ``seg``. Then ``other.clock`` is not below
+        ``seg.clock``, and it is not above it either. ``seg``'s thread
+        ``t`` first releases a clock with own component ``seg.clock[t]``
+        at the sync op that closes ``seg``, after ``other`` closed, so
+        ``other.clock[t] < seg.clock[t]`` (again, ``seg.clock[t] == 0``
+        only for the main thread's first segment, when nothing is
+        stored).
+
+        The scan visits only the threads ``u`` with ``newest[u] >
+        seg.clock[u]``, picked by one C-level pass over the n entries of
+        ``newest``, in ascending tid:
+
+        - By the converse, the newest stored segment of a visited thread
+          is concurrent with ``seg``, so each visited thread yields at
+          least one compared segment.
+        - A skipped thread with stored segments yields none: its newest
+          segment, and so every earlier one, is ordered before ``seg``.
+        - The closing thread never qualifies: each of its sync ops bumps
+          its own component, so ``newest[t] < seg.clock[t]``.
+        - A list emptied by discard is never visited. Its newest segment
+          was strictly below the horizon, horizons never fall, and the
+          horizon, the minimum over every thread's clock, is at most
+          ``seg.clock``.
         """
-        clock, me = seg.clock, seg.tid
-        loads, stores = seg.loads, seg.stores
+        clock, loads, stores = seg.clock, seg.loads, seg.stores
+        stored_by, epochs = self.stored, self.epochs
         compared = 0
-        for tid, stored in enumerate(self.stored):
-            end = len(stored)
-            if tid == me or not end:
-                continue  # same-thread segments are always ordered
-            i = bisect_right(self.epochs[tid], clock[tid])
-            while i < end:
-                other = stored[i]
-                i += 1
+        for tid in compress(count(), map(gt, self.newest, clock)):
+            start = bisect_right(epochs[tid], clock[tid])
+            for other in stored_by[tid][start:]:
                 if vc_compare(other.clock, clock) is not _CONCURRENT:
                     continue
                 compared += 1
@@ -312,8 +340,8 @@ class _DetectorState:
         """
         if acquire:
             after = self.clocks.threads[closing_tid]
-            moved = any(b == h and a > b
-                        for a, b, h in zip(after, before, self.horizon))
+            moved = any(map(and_, map(eq, before, self.horizon),
+                            map(lt, before, after)))
         else:
             moved = before[closing_tid] == self.horizon[closing_tid]
         if moved:
@@ -338,19 +366,13 @@ class _DetectorState:
     def _live_stored(self) -> int:
         return self.stats.segments_created - self.stats.segments_discarded
 
-    def _note_live(self):
-        live = self._live_stored()
-        if live > self.stats.segments_max_live:
-            self.stats.segments_max_live = live
-
     # -- end of stream ------------------------------------------------------------
 
     def finish(self):
         """Close remaining open segments at thread exit, in thread order."""
-        for tid in range(self.program.n_threads):
-            if self.open[tid] is not None:
-                if self._close_open_segment(tid) and not self.all_races:
-                    return
+        for seg in self.open:
+            if seg is not None and self._close(seg) and not self.all_races:
+                return
 
 
 class LiveSegmentProbe(DetectorListener):

@@ -123,6 +123,11 @@ def test_race_witnesses_forced_cases(impl):
                                filled(impl, [0x100]), empty) == []
     leaf, root = 1 << 14, 1 << 23  # the next leaf of a root, the next root
     cases = [
+        # one address, racing through each term of the signature reject:
+        # a's store against b's load (and, swapped, b's store against a's
+        # load), and a store on both sides
+        (set(), {0xABCDEF}, {0xABCDEF}, set(), [0xABCDEF]),
+        (set(), {0xABCDEF}, set(), {0xABCDEF}, [0xABCDEF]),
         # both sides load-only: no store set, so no witness
         ({0x100, leaf, root}, set(), {0x100, leaf, root}, set(), []),
         # one side store-only against nothing, and against loads
@@ -221,3 +226,94 @@ def test_roundtrip_property(addresses):
 def test_first_common_property(xs, ys):
     expected = min(xs & ys) if xs & ys else None
     assert filled(bitmap, xs).first_common(filled(bitmap, ys)) == expected
+
+
+# -- signatures -----------------------------------------------------------------
+
+
+def _sig_bit(addr):
+    """The signature bit the module docstring gives for ``addr``."""
+    return ((addr * 0x9E3779B1) & 0xFFFFFFFF) >> 26
+
+
+def test_signature_sets_one_hashed_bit_per_member():
+    addrs = [0, 1, 0x1234, 1 << 14, 1 << 23, 0xFFFFFFFF]
+    bm = filled(bitmap, addrs)
+    expected = 0
+    for a in addrs:
+        expected |= 1 << _sig_bit(a)
+    assert bm.sig == expected
+    bm.insert(0x1234)  # a member again changes nothing
+    assert bm.sig == expected
+    assert bitmap.MultilevelBitmap().sig == 0
+
+
+def _by_signature_bit(addresses):
+    out = {}
+    for a in addresses:
+        out.setdefault(_sig_bit(a), []).append(a)
+    return out
+
+
+_rng = random.Random(64)
+# Addresses grouped by the signature bit they set: many in one leaf, where
+# the leaf walk does the work, and others spread over the 32-bit space.
+_IN_LEAF = _by_signature_bit(range(0x40000000, 0x40004000, 7))
+_SPREAD = _by_signature_bit(_rng.getrandbits(32) for _ in range(4000))
+
+
+def _pool(bits, start, stop):
+    return sorted(a for bit in bits for group in (_IN_LEAF, _SPREAD)
+                  for a in group[bit][start:stop])
+
+
+# (side a's pool, side b's pool): the same few signature bits for both
+# sides with addresses shared; the same bits with no address shared; and
+# disjoint bits.
+_POOL_PAIRS = (
+    (_pool(range(6), 0, 8), _pool(range(6), 0, 8)),
+    (_pool(range(6), 0, 4), _pool(range(6), 4, 8)),
+    (_pool(range(32), 0, 2), _pool(range(32, 64), 0, 2)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_race_witnesses_under_colliding_signatures(data):
+    which = data.draw(st.sampled_from(range(len(_POOL_PAIRS))))
+    pool_a, pool_b = _POOL_PAIRS[which]
+    la, sa = (data.draw(st.sets(st.sampled_from(pool_a), max_size=12))
+              for _ in range(2))
+    lb, sb = (data.draw(st.sets(st.sampled_from(pool_b), max_size=12))
+              for _ in range(2))
+    expected = _reference_witnesses(la, sa, lb, sb)
+    if which:
+        assert expected == []  # the pools share no address
+    bitmaps = [filled(bitmap, s) for s in (la, sa, lb, sb)]
+    assert bitmap.race_witnesses(*bitmaps) == expected
+    assert bitmap.race_witnesses(*bitmaps[2:], *bitmaps[:2]) == expected
+
+
+def test_disjoint_signatures_walk_no_leaf(monkeypatch):
+    walks = [0]
+    real = bitmap._store_hits
+
+    def counted(*args):
+        walks[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(bitmap, "_store_hits", counted)
+    # Every address in one leaf, so only the signatures tell the sides
+    # apart: bits 0-31 for side a, bits 32-63 for side b.
+    low = [a for bit in range(32) for a in _IN_LEAF[bit][:3]]
+    high = [a for bit in range(32, 64) for a in _IN_LEAF[bit][:3]]
+    la, sa = filled(bitmap, low[::2]), filled(bitmap, low[1::2])
+    lb, sb = filled(bitmap, high[::2]), filled(bitmap, high[1::2])
+    assert bitmap.race_witnesses(la, sa, lb, sb) == []
+    assert bitmap.race_witnesses(lb, sb, la, sa) == []
+    assert walks[0] == 0
+    # Same bits, other addresses: the leaves are walked, and find nothing.
+    near = [a for bit in range(32) for a in _IN_LEAF[bit][3:6]]
+    lc, sc = filled(bitmap, near[::2]), filled(bitmap, near[1::2])
+    assert bitmap.race_witnesses(la, sa, lc, sc) == []
+    assert walks[0] > 0

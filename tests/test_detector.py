@@ -13,7 +13,8 @@ from racereplay.clocks import (MatrixClockTracker, Ordering, column_min,
 from racereplay.detector import (CLEAN, DIVERGED_NO_RACE, RACE,
                                  DetectorListener, LiveSegmentProbe, detect)
 from racereplay.generator import generate_program
-from racereplay.oracle import brute_force_detect
+from racereplay.oracle import (HbOracle, brute_force_detect, build_segments,
+                               race_formula, segments_ordered)
 from racereplay.program import parse_program
 from racereplay.record import record_execution
 from racereplay.tracefile import SyncTrace
@@ -350,6 +351,22 @@ def test_scan_and_discard_work_bound(monkeypatch):
     assert below[0] <= st.sync_events * prog.n_threads + st.segments_discarded
 
 
+def test_scan_visits_only_threads_with_a_concurrent_segment(monkeypatch):
+    # The scan bisects a thread's list only when the thread's newest
+    # stored segment is concurrent with the closing one, so every bisect
+    # yields at least one compared segment.
+    bisects = _counting(monkeypatch, "bisect_right")
+    cases = [(generate_program(3, threads=16, ops_per_thread=200), 1)]
+    cases += list(_epoch_programs())
+    for text, seed in cases:
+        prog = parse_program(text)
+        rec = record_execution(prog, seed)
+        for gc in (True, False):
+            bisects[0] = 0
+            st = detect(prog, rec.trace, all_races=True, gc=gc).stats
+            assert bisects[0] <= st.segments_compared, (seed, gc)
+
+
 def test_kept_horizon_is_exact_and_no_head_is_below_it(monkeypatch):
     # The horizon is recomputed only when the syncing thread held a
     # column's minimum and its value there rose, and heads are re-tested
@@ -412,6 +429,36 @@ def test_discard_work_bound(monkeypatch):
         below[0] = minima[0] = 0
         st = detect(prog, rec.trace, all_races=True).stats
         assert below[0] <= prog.n_threads * minima[0] + st.segments_discarded
+
+
+def _oracle_racy_pairs(prog, trace):
+    """pair_key() of every racy pair of segments, from the brute-force
+    references over all segment pairs."""
+    events, _ = replay_events(prog, trace)
+    hb = HbOracle(events)
+    pairs = set()
+    for a, b in combinations(build_segments(events, prog.n_threads), 2):
+        if segments_ordered(hb, a, b):
+            continue
+        witnesses = race_formula(a.loads, a.stores, b.loads, b.stores)
+        if witnesses:
+            pairs.add((frozenset((a.key, b.key)), frozenset(witnesses)))
+    return pairs
+
+
+@pytest.mark.parametrize("seed, lock_density", [(1, 0.0), (1, 0.5), (2, 0.5)])
+def test_all_races_match_oracle_at_64_threads(seed, lock_density):
+    prog = parse_program(generate_program(seed, threads=64, ops_per_thread=40,
+                                          lock_density=lock_density))
+    rec = record_execution(prog, 1)
+    with_gc = detect(prog, rec.trace, all_races=True)
+    without = detect(prog, rec.trace, all_races=True, gc=False)
+    pairs = {report.pair_key() for report in with_gc.reports}
+    assert len(pairs) == len(with_gc.reports)
+    assert pairs == _oracle_racy_pairs(prog, rec.trace)
+    assert pairs  # the differential saw races
+    assert (without.status, without.reports) == (with_gc.status,
+                                                 with_gc.reports)
 
 
 def test_detect_memory_stays_bounded():
