@@ -210,8 +210,17 @@ def cmd_gen(args) -> int:
     return EXIT_CLEAN
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as ``main`` reports every other input error,
+    with exit code 1 rather than argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise RaceReplayError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="racereplay",
         description="record/replay data race detection on simulated programs")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -270,8 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.fn(args)
     except (OSError, RaceReplayError) as exc:
         print(f"error: {exc}", file=sys.stderr)

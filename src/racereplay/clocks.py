@@ -9,10 +9,11 @@ thread's, and every sync op then increments the thread's own component,
 which is what delimits segments.
 
 Two discard horizons are supported. The *snooped* horizon is the
-columnwise minimum over every thread's live vector clock, read directly at
-a segment end. The *logical* horizon is the columnwise minimum of a matrix
-clock propagated only along synchronisation edges, i.e. what the ending
-thread can know causally; it is never above the snooped horizon.
+columnwise minimum of live vector clocks read directly: the detector takes
+it over the threads that still have a memory access to make. The *logical*
+horizon is the columnwise minimum of a matrix clock propagated only along
+synchronisation edges, i.e. what the ending thread can know causally; it
+is never above the snooped horizon.
 """
 
 from __future__ import annotations
@@ -87,9 +88,6 @@ class VectorClockTracker:
         bumped[tid] += 1
         self.threads[tid] = tuple(bumped)
         return before
-
-    def snapshot(self):
-        return tuple(self.threads)
 
 
 class MatrixClockTracker:

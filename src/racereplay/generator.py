@@ -14,6 +14,10 @@ from __future__ import annotations
 
 from .machine import MASK64, splitmix64
 
+# The most instructions, over all threads, and shared addresses one call
+# may generate; larger requests are refused before any work starts.
+MAX_TOTAL_OPS = 1 << 20
+
 
 class Rng:
     """Tiny deterministic generator (splitmix64), independent of stdlib."""
@@ -54,6 +58,12 @@ def generate_program(seed: int, threads: int = 3, ops_per_thread: int = 40,
                      lock_density: float = 1.0, shared_addresses: int = 4,
                      sem_handoffs: bool = True) -> str:
     """Program text for the given knobs; same arguments, same text."""
+    if threads * ops_per_thread > MAX_TOTAL_OPS:
+        raise ValueError(f"threads x ops is {threads * ops_per_thread}, "
+                         f"above the budget of {MAX_TOTAL_OPS}")
+    if shared_addresses > MAX_TOTAL_OPS:
+        raise ValueError(f"{shared_addresses} shared addresses, above the "
+                         f"budget of {MAX_TOTAL_OPS}")
     if threads < 1:
         raise ValueError("need at least one thread")
     if ops_per_thread < 4:

@@ -66,6 +66,7 @@ class Program:
     create_obj: dict  # tid -> object id of the start handshake
     exit_obj: dict  # tid -> object id of the exit handshake (join targets only)
     join_targets: frozenset
+    last_access: tuple  # tid -> index of its last LOAD or STORE, or -1
     source_name: str = "<program>"
 
     @property
@@ -261,6 +262,9 @@ def parse_program(text: str, name: str = "<program>") -> Program:
                 init = _parse_int(tokens[2], lineno, "semaphore count", 10)
                 if init < 0:
                     raise ParseError("semaphore count must be non-negative", lineno)
+                if init > WORD_MASK:
+                    raise ParseError(f"semaphore count {init} outside 32-bit range",
+                                     lineno)
                 sem_decls.append((tokens[1], init))
             elif head == "mem":
                 if len(tokens) != 3:
@@ -294,9 +298,11 @@ def parse_program(text: str, name: str = "<program>") -> Program:
     parsed: dict[int, list[Instruction]] = {tid: [] for tid in tids}
     shared: dict[str, Instruction] = {}  # distinct line -> its Instruction
 
+    last_access: list[int] = []
     for tid in tids:
         body = parsed[tid]
         seen_exit = False
+        last = -1
         for index in bodies[tid]:
             line = lines[index].split("#", 1)[0].strip()
             if not line:
@@ -322,11 +328,15 @@ def parse_program(text: str, name: str = "<program>") -> Program:
                     join_targets.add(target)
                 else:
                     shared[line] = ins
+            op = ins[0]
+            if op in _ADDRESS_OPS:
+                last = len(body)
             body.append(ins)
-            seen_exit = ins[0] is _EXIT
+            seen_exit = op is _EXIT
         if not body or body[-1].op is not _EXIT:
             raise ParseError(f"thread {tid} body must end with EXIT",
                              thread_lines[tid])
+        last_access.append(last)
 
     for tid in tids:
         if tid != MAIN_THREAD and tid not in create_targets:
@@ -345,6 +355,7 @@ def parse_program(text: str, name: str = "<program>") -> Program:
         create_obj=create_obj,
         exit_obj=exit_obj,
         join_targets=frozenset(join_targets),
+        last_access=tuple(last_access),
         source_name=name,
     )
 

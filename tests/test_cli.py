@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import racereplay
-from racereplay import workloads
+from racereplay import generator, workloads
 from racereplay.cli import main
 from racereplay.errors import RaceReplayError
 from racereplay.reporting import parse_report_record
@@ -215,6 +215,43 @@ def test_gen_bad_knob_usage_error(flag, value, message, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not out.exists()
+
+
+def test_gen_over_budget_refused_before_work(monkeypatch, tmp_path, capsys):
+    # The budget is checked before anything is generated; a small one
+    # here keeps the refused requests tiny.
+    monkeypatch.setattr(generator, "MAX_TOTAL_OPS", 100)
+    out = tmp_path / "gen.prog"
+    for flags in (["--threads", "3", "--ops", "34"], ["--shared", "101"]):
+        assert main(["gen", *flags, "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: gen: ") and "above the budget of 100" in err
+        assert not out.exists()
+    assert main(["gen", "--threads", "4", "--ops", "25", "--shared", "100",
+                 "-o", str(out)]) == 0
+    capsys.readouterr()
+
+
+def test_gen_budget_admits_the_sweeps_and_refuses_huge_requests():
+    assert 64 * 250 <= generator.MAX_TOTAL_OPS
+    assert 16 * 4000 <= generator.MAX_TOTAL_OPS
+    assert 10**8 * 10 > generator.MAX_TOTAL_OPS
+    assert 2 * 10**9 > generator.MAX_TOTAL_OPS
+
+
+@pytest.mark.parametrize("argv", [
+    ["record", "PROG", "--seed", str(10**27)],
+    ["detect", "PROG"],
+    ["gen", "--threads", "many"],
+    ["frobnicate"],
+    [],
+])
+def test_argparse_usage_error_exits_1(argv, racy, capsys):
+    argv = [racy if arg == "PROG" else arg for arg in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: racereplay")
+    assert "error: racereplay" in err
 
 
 def test_console_script_entry_point(racy):

@@ -143,7 +143,7 @@ def test_matrix_tracker_rows_never_exceed_actual():
         mt.apply_sync(tid, obj, acq, vt.threads[tid])
         for i in range(n_threads):
             horizon = mt.horizon(i)
-            snooped = column_min(vt.snapshot())
+            snooped = column_min(vt.threads)
             assert all(h <= s for h, s in zip(horizon, snooped))
             for j in range(n_threads):
                 assert all(a <= b for a, b in zip(mt.threads[i][j], vt.threads[j]))

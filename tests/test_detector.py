@@ -9,13 +9,14 @@ from _helpers import SegmentLog, replay_events
 import racereplay.detector as detector_mod
 from racereplay import workloads
 from racereplay.clocks import (MatrixClockTracker, Ordering, column_min,
-                               vc_compare, vc_join, vc_strictly_below)
+                               vc_compare, vc_join)
 from racereplay.detector import (CLEAN, DIVERGED_NO_RACE, RACE,
                                  DetectorListener, LiveSegmentProbe, detect)
 from racereplay.generator import generate_program
+from racereplay.machine import EventKind
 from racereplay.oracle import (HbOracle, brute_force_detect, build_segments,
                                race_formula, segments_ordered)
-from racereplay.program import parse_program
+from racereplay.program import Op, parse_program
 from racereplay.record import record_execution
 from racereplay.tracefile import SyncTrace
 
@@ -297,6 +298,16 @@ def _epoch_programs():
     yield ("mutex m\nthread 0:\n"
            + "  LOAD r0 0x1000\n  LOCK m\n  STORE r0 0x1000\n  UNLOCK m\n" * 3
            + "  EXIT\n"), 1
+    # Main's first segment has own component 0, which every clock has
+    # seen, so it can drop although the horizon does not rise; main's
+    # first sync op here is a release and an acquire.
+    workers = ("thread 1:\n  LOAD r0 0x1000\n  EXIT\n"
+               "thread 2:\n  LOAD r0 0x1000\n  EXIT\n")
+    yield ("thread 0:\n  STORE r0 0x1000\n  CREATE 1\n  STORE r0 0x1004\n"
+           "  CREATE 2\n  LOAD r1 0x1008\n  JOIN 2\n  EXIT\n" + workers), 2
+    yield ("mutex m\nthread 0:\n  STORE r0 0x1000\n  LOCK m\n"
+           "  STORE r0 0x1004\n  UNLOCK m\n  CREATE 1\n  CREATE 2\n"
+           "  LOAD r1 0x1008\n  JOIN 2\n  EXIT\n" + workers), 2
 
 
 def test_epoch_lemma_and_per_thread_prefix_order():
@@ -354,61 +365,192 @@ def test_scan_and_discard_work_bound(monkeypatch):
 def test_scan_visits_only_threads_with_a_concurrent_segment(monkeypatch):
     # The scan bisects a thread's list only when the thread's newest
     # stored segment is concurrent with the closing one, so every bisect
-    # yields at least one compared segment.
-    bisects = _counting(monkeypatch, "bisect_right")
+    # yields at least one compared segment. The discard bisects a list
+    # only when its head drops, so each of its bisects drops a segment.
+    real_bisect = detector_mod.bisect_right
+    real_scan = detector_mod._DetectorState._scan_for_races
+    bisects = {True: 0, False: 0}  # made in a scan, made elsewhere
+    scanning = [False]
+
+    def counted(*args):
+        bisects[scanning[0]] += 1
+        return real_bisect(*args)
+
+    def scan(state, seg, stubs):
+        scanning[0] = True
+        try:
+            return real_scan(state, seg, stubs)
+        finally:
+            scanning[0] = False
+
+    monkeypatch.setattr(detector_mod, "bisect_right", counted)
+    monkeypatch.setattr(detector_mod._DetectorState, "_scan_for_races", scan)
     cases = [(generate_program(3, threads=16, ops_per_thread=200), 1)]
     cases += list(_epoch_programs())
     for text, seed in cases:
         prog = parse_program(text)
         rec = record_execution(prog, seed)
         for gc in (True, False):
-            bisects[0] = 0
+            bisects[True] = bisects[False] = 0
             st = detect(prog, rec.trace, all_races=True, gc=gc).stats
-            assert bisects[0] <= st.segments_compared, (seed, gc)
+            assert bisects[True] <= st.segments_compared, (seed, gc)
+            assert bisects[False] <= st.segments_discarded, (seed, gc)
+
+
+def _last_accesses(prog):
+    """Per thread, the index of its last LOAD or STORE, or -1."""
+    return tuple(max((i for i, ins in enumerate(body)
+                      if ins.op in (Op.LOAD, Op.STORE)), default=-1)
+                 for body in prog.threads)
+
+
+class _HeadCheck(DetectorListener):
+    """Fails a run whose discard drops a segment its own thread's column
+    of the horizon has not reached."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.discarded = 0
+
+    def on_close(self, state, seg):
+        self.inner.on_close(state, seg)
+
+    def on_discard(self, state, segments):
+        for seg in segments:
+            assert seg.clock[seg.tid] <= state.horizon[seg.tid], seg.key
+        self.discarded += len(segments)
+        self.inner.on_discard(state, segments)
+
+    def on_sync(self, state, tid, obj, acquire):
+        self.inner.on_sync(state, tid, obj, acquire)
 
 
 def test_kept_horizon_is_exact_and_no_head_is_below_it(monkeypatch):
-    # The horizon is recomputed only when the syncing thread held a
-    # column's minimum and its value there rose, and heads are re-tested
-    # only when it rises; neither shortcut may lose a discard.
-    real = detector_mod._DetectorState._collect_garbage
-    seen = {}
+    # After every event the horizon is the componentwise minimum of the
+    # clocks of the threads that still have a LOAD or STORE to make, and
+    # no list head has an own component at or below its column of it. The
+    # horizon is recomputed only when the syncing thread held a column's
+    # minimum alone, or a thread made its last access, and heads are
+    # re-tested only when it rises; neither shortcut may lose a discard.
+    real = detector_mod._DetectorState.on_event
+    past = {}  # the threads that made their last access, this run
+    events = [0]
 
-    def checked(state, tid, before, acquire):
-        real(state, tid, before, acquire)
-        horizon = column_min(state.clocks.snapshot())
-        assert state.horizon == horizon
-        for stored in state.stored:
-            assert not stored or not vc_strictly_below(stored[0].clock, horizon)
+    def checked(state, machine, event):
+        stop = real(state, machine, event)
+        events[0] += 1
+        prog = state.program
+        lasts = _last_accesses(prog)
+        assert prog.last_access == lasts
+        done = past.setdefault(id(state), set())
+        if event.kind is not EventKind.SYNC \
+                and event.ordinal == lasts[event.tid]:
+            done.add(event.tid)
+        threads = state.clocks.threads
+        rows = [threads[t] for t, last in enumerate(lasts)
+                if last >= 0 and t not in done]
+        if rows:
+            assert state.horizon == column_min(rows)
+        else:
+            top = max(max(clock) for clock in threads)
+            assert min(state.horizon) > top
+        for v, epochs in enumerate(state.epochs):
+            assert not epochs or epochs[0] > state.horizon[v], v
         # The scan bisects epochs[u]; it must track stored[u] exactly.
         assert state.epochs == [[seg.clock[u] for seg in stored]
                                 for u, stored in enumerate(state.stored)]
-        seen[state.stats.sync_events] = horizon
+        assert state.heads == [epochs[0] if epochs else float("inf")
+                               for epochs in state.epochs]
+        return stop
 
-    monkeypatch.setattr(detector_mod._DetectorState, "_collect_garbage", checked)
+    monkeypatch.setattr(detector_mod._DetectorState, "on_event", checked)
     discards = 0
     for text, seed in _epoch_programs():
         prog = parse_program(text)
         rec = record_execution(prog, seed)
-        for log in (SegmentLog(), _ProbedLog(prog)):
-            seen.clear()
+        for inner in (SegmentLog(), LiveSegmentProbe(prog)):
+            events[0] = 0
+            past.clear()
+            log = _HeadCheck(inner)
             result = detect(prog, rec.trace, gc=True, listener=log,
                             all_races=True)
-            assert len(seen) == result.stats.sync_events
-            for at, seg in log.discarded:
-                assert vc_strictly_below(seg.clock, seen[at])
-            discards += len(log.discarded)
+            st = result.stats
+            assert events[0] == st.mem_events + st.sync_events
+            assert log.discarded == st.segments_discarded
+            discards += log.discarded
     assert discards > 100
 
 
-class _ProbedLog(LiveSegmentProbe):
-    """The live-segment probe, also keeping the discards as SegmentLog does."""
+def _soundness_programs():
+    for i in range(300):
+        yield generate_program(
+            seed=80_000 + i, threads=2 + i % 5,
+            ops_per_thread=12 + (i * 11) % 50,
+            lock_density=(0.0, 0.25, 0.5, 0.75, 1.0)[i % 5],
+            shared_addresses=1 + i % 8), i
+    yield workloads.shared_counter(), 1
+    yield workloads.shared_counter(locked=True), 2
+    yield workloads.ping_pong(40, slack=2), 3
+    yield workloads.contended_counter(4, 30), 4
+    yield workloads.producer_consumer(40, 3), 5
 
-    def __init__(self, program):
-        super().__init__(program)
+
+def test_dropped_segments_precede_every_later_segment_but_frozen_ones(
+        monkeypatch):
+    # A dropped segment is ordered before every segment that closes after
+    # the drop, except a segment that was frozen at the drop and got a
+    # stub of it; the stub gives that pair the same report and count as
+    # the stored segment would, so all-races runs match a run without
+    # discard.
+    real = detector_mod._DetectorState._scan_for_races
+    stubbed = {}  # key of a closing segment -> (tid, index) of its stubs
+
+    def scan(state, seg, stubs):
+        stubbed[seg.key] = {(stub.tid, stub.index)
+                            for kept in (stubs or {}).values()
+                            for stub in kept}
+        return real(state, seg, stubs)
+
+    monkeypatch.setattr(detector_mod._DetectorState, "_scan_for_races", scan)
+    excepted = 0
+    for text, seed in _soundness_programs():
+        prog = parse_program(text)
+        rec = record_execution(prog, seed)
+        without = detect(prog, rec.trace, all_races=True, gc=False)
+        stubbed.clear()
+        log = _OrderLog()
+        with_gc = detect(prog, rec.trace, all_races=True, listener=log)
+        assert (with_gc.status, with_gc.reports) == \
+            (without.status, without.reports)
+        assert with_gc.stats.segments_compared == \
+            without.stats.segments_compared
+        for at, dead in log.discarded:
+            for closed_at, seg in log.closed:
+                if closed_at <= at or vc_compare(dead.clock, seg.clock) \
+                        is Ordering.BEFORE:
+                    continue
+                assert (dead.tid, dead.index) in stubbed[seg.key], \
+                    (dead.key, seg.key)
+                excepted += 1
+    assert excepted > 0
+
+
+class _OrderLog(DetectorListener):
+    """Closed and discarded segments, each with its place in one sequence
+    of callbacks."""
+
+    def __init__(self):
+        self.closed = []
         self.discarded = []
+        self.calls = 0
 
-    on_discard = SegmentLog.on_discard
+    def on_close(self, state, seg):
+        self.calls += 1
+        self.closed.append((self.calls, seg))
+
+    def on_discard(self, state, segments):
+        self.calls += 1
+        self.discarded.extend((self.calls, seg) for seg in segments)
 
 
 def test_discard_work_bound(monkeypatch):

@@ -36,6 +36,26 @@ def test_undeclared_semaphore_wrong_kind():
         parse_program(text)
 
 
+def test_semaphore_count_held_to_32_bits():
+    # Like addresses and constants, an initial count is a 32-bit word.
+    top = parse_program("sem s 4294967295\nthread 0:\n  EXIT\n")
+    assert top.semaphores["s"][1] == 0xFFFFFFFF
+    with pytest.raises(ParseError, match="line 1: semaphore count "
+                                         "4294967296 outside 32-bit range"):
+        parse_program("sem s 4294967296\nthread 0:\n  EXIT\n")
+    with pytest.raises(ParseError, match="outside 32-bit range"):
+        parse_program("sem s 99999999999999999999999\nthread 0:\n  EXIT\n")
+
+
+def test_last_access_per_thread():
+    prog = parse_program(
+        "mutex m\n"
+        "thread 0:\n  CREATE 1\n  LOAD r0 0x10\n  LOCK m\n  STORE r0 0x14\n"
+        "  UNLOCK m\n  JOIN 1\n  EXIT\n"
+        "thread 1:\n  SET r0 1\n  LOCK m\n  UNLOCK m\n  EXIT\n")
+    assert prog.last_access == (3, -1)
+
+
 def test_error_carries_line_number():
     text = "mutex m\nthread 0:\n  LOCK m\n  BOGUS r1 2\n  EXIT\n"
     with pytest.raises(ParseError, match="line 4"):
