@@ -299,8 +299,9 @@ def _epoch_programs():
            + "  LOAD r0 0x1000\n  LOCK m\n  STORE r0 0x1000\n  UNLOCK m\n" * 3
            + "  EXIT\n"), 1
     # Main's first segment has own component 0, which every clock has
-    # seen, so it can drop although the horizon does not rise; main's
-    # first sync op here is a release and an acquire.
+    # seen, so it can drop although the horizon does not rise. Main's
+    # first sync op is a release in the first program, an acquire in the
+    # second.
     workers = ("thread 1:\n  LOAD r0 0x1000\n  EXIT\n"
                "thread 2:\n  LOAD r0 0x1000\n  EXIT\n")
     yield ("thread 0:\n  STORE r0 0x1000\n  CREATE 1\n  STORE r0 0x1004\n"
