@@ -55,6 +55,12 @@ class _ReplayHooks(ExecutionHooks):
     calls ``recheck`` after every gate step while any thread is refused,
     so each parked thread is handed back at the first recheck that finds
     the frontier at its stamp.
+
+    ``frontier`` is kept, not searched for. An op is permitted only at the
+    frontier's stamp, and stays unexecuted until it steps, so every SYNC
+    event carries the frontier's stamp; when its count reaches 0, every
+    larger stamp is still unexecuted and the next entry of the sorted
+    stamps is the new frontier (None once every stamp has executed).
     """
 
     def __init__(self, stamps, observer):
@@ -62,18 +68,10 @@ class _ReplayHooks(ExecutionHooks):
         self.observer = observer
         self.done = [0] * len(stamps)  # sync ops executed per thread
         self.over_budget: set[int] = set()
-        # Global stall frontier: smallest recorded timestamp not yet executed.
         self.remaining = Counter(ts for per_thread in stamps for ts in per_thread)
-        self.order = sorted(self.remaining)
-        self.frontier = 0
+        self._ahead = iter(sorted(self.remaining))
+        self.frontier = next(self._ahead, None)
         self.parked: dict[int, int] = {}  # stamp -> threads refused at it
-
-    def _frontier_stamp(self):
-        while self.frontier < len(self.order) and self.remaining[self.order[self.frontier]] == 0:
-            self.frontier += 1
-        if self.frontier < len(self.order):
-            return self.order[self.frontier]
-        return None
 
     def permits(self, machine: Machine, tid: int) -> bool:
         k = self.done[tid]
@@ -81,20 +79,22 @@ class _ReplayHooks(ExecutionHooks):
             self.over_budget.add(tid)
             return False
         stamp = self.stamps[tid][k]
-        if stamp == self._frontier_stamp():
+        if stamp == self.frontier:
             return True
         self.parked[stamp] = self.parked.get(stamp, 0) | 1 << tid
         return False
 
     def recheck(self, machine: Machine, vetoed: int) -> int:
         """The threads parked at the frontier's stamp."""
-        return self.parked.pop(self._frontier_stamp(), 0)
+        return self.parked.pop(self.frontier, 0)
 
     def on_event(self, machine: Machine, event: Event):
         if event.kind is _SYNC_EVENT:
             ts = self.stamps[event.tid][self.done[event.tid]]
             self.done[event.tid] += 1
             self.remaining[ts] -= 1
+            if not self.remaining[ts]:
+                self.frontier = next(self._ahead, None)
         if self.observer is not None:
             return self.observer(machine, event)
         return None

@@ -160,7 +160,7 @@ def test_recheck_hands_back_only_threads_at_the_frontier(monkeypatch):
         def recheck(self, machine, vetoed):
             nonlocal handed
             due = super().recheck(machine, vetoed)
-            frontier = self._frontier_stamp()
+            frontier = self.frontier
             for tid, stamps in enumerate(self.stamps):
                 if due >> tid & 1:
                     assert stamps[self.done[tid]] == frontier
