@@ -17,7 +17,7 @@ from .detector import DIVERGED_NO_RACE, RACE, LiveSegmentProbe, detect
 from .errors import RaceReplayError
 from .generator import generate_program
 from .identify import identify
-from .program import Program, load_program
+from .program import Program, load_program, read_utf8
 from .record import record_execution
 from .replay import OK, replay_execution
 from .reporting import (parse_report_record, report_human_text,
@@ -140,14 +140,7 @@ def cmd_detect(args) -> int:
 def cmd_identify(args) -> int:
     program = load_program(args.program)
     trace = _read_trace(args.trace, program)
-    with open(args.report, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise RaceReplayError(
-            f"{args.report}: not UTF-8 text (byte {exc.start})")
-    report = parse_report_record(text)
+    report = parse_report_record(read_utf8(args.report))
     sites = identify(program, trace, report, replay_seed=args.replay_seed)
     report.instructions = sites
     _write_lines(args.report, report_record_lines(report))
@@ -165,10 +158,6 @@ def cmd_pipeline(args) -> int:
     size = rec.trace.write(trace_path)
 
     result = _run_detect(program, rec.trace, args)
-    entries = ([("status", result.status)] + _record_summary(rec, size)
-               + _detect_summary(result))
-
-    code = EXIT_CLEAN
     if result.status == RACE:
         report = result.report
         try:
@@ -176,18 +165,11 @@ def cmd_pipeline(args) -> int:
                                            replay_seed=args.replay_seed)
         except RaceReplayError as exc:
             print(f"identification failed: {exc}", file=sys.stderr)
-        _write_lines(prefix + ".report", report_record_lines(report))
-        print(report_human_text(report, program))
-        for line in report_record_lines(report):
-            print(line)
-        code = EXIT_RACE
-    elif result.status == DIVERGED_NO_RACE:
-        print(f"divergence without detected race: {result.replay.detail}")
-        code = EXIT_DIVERGED
-    else:
-        print("no race")
+    code = _print_detect_outcome(result, program, prefix + ".report")
 
     print(f"trace written to {trace_path}")
+    entries = ([("status", result.status)] + _record_summary(rec, size)
+               + _detect_summary(result))
     for line in summary_lines(entries):
         print(line)
     return code
@@ -230,42 +212,44 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         return p
 
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--replay-seed", type=_u64, default=0,
+                        help="tie-break seed for concurrent sync ops")
+    detecting = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    detecting.add_argument("--all-races", action="store_true",
+                           help="keep scanning past the first race")
+    detecting.add_argument(
+        "--probe-live-segments", metavar="CSV",
+        help="write live-segment counts under both discard policies")
+
     p = add("record", cmd_record, help="run once and write the sync trace")
     p.add_argument("program")
     p.add_argument("--seed", type=_u64, default=0, help="schedule seed (u64)")
     p.add_argument("-o", "--output", help="trace path (default <program>.trace)")
 
-    p = add("replay", cmd_replay, help="re-execute under a recorded trace")
+    p = add("replay", cmd_replay, parents=[seeded],
+            help="re-execute under a recorded trace")
     p.add_argument("program")
     p.add_argument("--trace", required=True)
-    p.add_argument("--replay-seed", type=_u64, default=0,
-                   help="tie-break seed for concurrent sync ops")
     p.add_argument("--show-memory", action="store_true")
 
-    p = add("detect", cmd_detect, help="replay and search for a data race")
+    p = add("detect", cmd_detect, parents=[detecting],
+            help="replay and search for a data race")
     p.add_argument("program")
     p.add_argument("--trace", required=True)
-    p.add_argument("--all-races", action="store_true",
-                   help="keep scanning past the first race")
-    p.add_argument("--probe-live-segments", metavar="CSV",
-                   help="write live-segment counts under both discard policies")
     p.add_argument("--report", help="write the machine-readable report here")
-    p.add_argument("--replay-seed", type=_u64, default=0)
 
-    p = add("identify", cmd_identify, help="locate the racing instructions")
+    p = add("identify", cmd_identify, parents=[seeded],
+            help="locate the racing instructions")
     p.add_argument("program")
     p.add_argument("--trace", required=True)
     p.add_argument("--report", required=True)
-    p.add_argument("--replay-seed", type=_u64, default=0)
 
-    p = add("pipeline", cmd_pipeline,
+    p = add("pipeline", cmd_pipeline, parents=[detecting],
             help="record, detect, and identify in one run")
     p.add_argument("program")
     p.add_argument("--seed", type=_u64, default=0)
     p.add_argument("--out-prefix", help="artifact prefix (default <program>)")
-    p.add_argument("--all-races", action="store_true")
-    p.add_argument("--probe-live-segments", metavar="CSV")
-    p.add_argument("--replay-seed", type=_u64, default=0)
 
     p = add("gen", cmd_gen, help="generate a random workload program")
     p.add_argument("--seed", type=_u64, default=0)

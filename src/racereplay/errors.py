@@ -6,7 +6,7 @@ class RaceReplayError(Exception):
 
 
 class ParseError(RaceReplayError):
-    """Program source is malformed; carries a 1-based line number when known."""
+    """Program or report text is malformed; carries a 1-based line number when known."""
 
     def __init__(self, message, line=None):
         self.line = line

@@ -360,11 +360,15 @@ def parse_program(text: str, name: str = "<program>") -> Program:
     )
 
 
-def load_program(path: str) -> Program:
+def read_utf8(path: str) -> str:
+    """The file's text; a ParseError names the first byte that is not UTF-8."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})")
-    return parse_program(text, name=path)
+
+
+def load_program(path: str) -> Program:
+    return parse_program(read_utf8(path), name=path)

@@ -7,6 +7,17 @@ from racereplay.record import record_execution
 from racereplay.replay import replay_execution
 
 
+# Two racy address pairs, one on each side of a common mutex round: every
+# schedule races on 0x100 in the workers' first segments and on 0x200 in
+# their second, so first-race mode reports one race and all-races two.
+TWO_RACES = ("mutex m\n"
+             "thread 0:\n  CREATE 1\n  CREATE 2\n  JOIN 1\n  JOIN 2\n  EXIT\n"
+             "thread 1:\n  SET r0 1\n  STORE r0 0x00000100\n"
+             "  LOCK m\n  UNLOCK m\n  SET r1 4\n  STORE r1 0x00000200\n  EXIT\n"
+             "thread 2:\n  SET r0 2\n  STORE r0 0x00000100\n"
+             "  LOCK m\n  UNLOCK m\n  SET r1 3\n  STORE r1 0x00000200\n  EXIT\n")
+
+
 def replay_events(program, trace, replay_seed=0):
     """Replay collecting the full event stream; returns (events, result)."""
     events = []

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from _helpers import TWO_RACES
 
 import racereplay
 from racereplay import generator, workloads
@@ -41,6 +42,24 @@ def test_pipeline_race_exit_and_artifacts(racy, tmp_path, capsys):
     one, two = report.instructions
     assert {one.ordinal, two.ordinal} == {2}
     assert (tmp_path / "racy.prog.trace").exists()
+
+
+def test_pipeline_prints_every_race_detect_prints(tmp_path, capsys):
+    path = tmp_path / "two.prog"
+    path.write_text(TWO_RACES)
+    trace = str(tmp_path / "two.trace")
+    assert main(["record", str(path), "-o", trace]) == 0
+    capsys.readouterr()
+
+    def races(out):
+        return [line for line in out.splitlines()
+                if line.startswith("data race on")]
+
+    assert main(["detect", str(path), "--trace", trace, "--all-races"]) == 10
+    detected = races(capsys.readouterr().out)
+    assert len(detected) == 2
+    assert main(["pipeline", str(path), "--all-races"]) == 10
+    assert races(capsys.readouterr().out) == detected
 
 
 def test_pipeline_clean_exit(clean, capsys):

@@ -4,7 +4,7 @@ import tracemalloc
 from itertools import combinations
 
 import pytest
-from _helpers import SegmentLog, replay_events
+from _helpers import TWO_RACES, SegmentLog, replay_events
 
 import racereplay.detector as detector_mod
 from racereplay import workloads
@@ -225,20 +225,13 @@ def test_producer_consumer_live_segments_bounded():
 
 
 def test_all_races_flag_collects_more():
-    # Two independent racy address pairs; first-race mode stops at one.
-    text = ("thread 0:\n  CREATE 1\n  CREATE 2\n  JOIN 1\n  JOIN 2\n  EXIT\n"
-            "thread 1:\n  SET r0 1\n  STORE r0 0x00000100\n"
-            "  LOCK_FREE\n  EXIT\n"
-            "thread 2:\n  SET r0 2\n  STORE r0 0x00000100\n"
-            "  SET r1 3\n  STORE r1 0x00000200\n  EXIT\n")
-    text = text.replace("  LOCK_FREE\n", "  SET r1 4\n  STORE r1 0x00000200\n")
-    prog = parse_program(text)
+    prog = parse_program(TWO_RACES)
     rec = record_execution(prog, 2)
     first_only = detect(prog, rec.trace)
     everything = detect(prog, rec.trace, all_races=True)
     assert first_only.status == everything.status == RACE
     assert len(first_only.reports) == 1
-    assert len(everything.reports) >= 1
+    assert len(everything.reports) == 2
     assert everything.reports[0].pair_key() == first_only.reports[0].pair_key()
     witnesses = set()
     for rep in everything.reports:
