@@ -5,7 +5,7 @@ workers, optionally runs some work of its own, joins the workers and
 exits. Worker bodies are straight-line mixes of private arithmetic,
 private memory traffic, and shared-address access groups. Each shared
 group is wrapped in one common lock with probability ``lock_density``, so
-density 1.0 is race-free by construction. Optional semaphore handoffs add
+density 1.0 is race-free by construction. Random semaphore handoffs add
 cross-thread ordering edges; they always post from a lower thread id to a
 higher one, which keeps generated programs deadlock-free.
 """
@@ -55,8 +55,7 @@ def _shared_pool(rng: Rng, size: int) -> list:
 
 
 def generate_program(seed: int, threads: int = 3, ops_per_thread: int = 40,
-                     lock_density: float = 1.0, shared_addresses: int = 4,
-                     sem_handoffs: bool = True) -> str:
+                     lock_density: float = 1.0, shared_addresses: int = 4) -> str:
     """Program text for the given knobs; same arguments, same text."""
     if threads * ops_per_thread > MAX_TOTAL_OPS:
         raise ValueError(f"threads x ops is {threads * ops_per_thread}, "
@@ -74,7 +73,7 @@ def generate_program(seed: int, threads: int = 3, ops_per_thread: int = 40,
     pool = _shared_pool(rng, shared_addresses)
 
     handoffs = []  # (sem name, poster tid, waiter tid, count)
-    if sem_handoffs and threads >= 3 and rng.chance(0.5):
+    if threads >= 3 and rng.chance(0.5):
         lo = 1 + rng.below(threads - 2)
         hi = lo + 1 + rng.below(threads - 1 - lo)
         handoffs.append((f"h{len(handoffs)}", lo, hi, 1 + rng.below(2)))

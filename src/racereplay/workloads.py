@@ -12,7 +12,7 @@ from __future__ import annotations
 SHARED = 0x00001000
 
 
-def shared_counter(locked: bool = False, addr: int = SHARED) -> str:
+def shared_counter(locked: bool = False) -> str:
     """Two workers add 6 and 7 to one shared word initialised to 5.
 
     Unsynchronised, the final value is 18, 11 or 12 depending on the
@@ -21,6 +21,7 @@ def shared_counter(locked: bool = False, addr: int = SHARED) -> str:
     final value is always 18.
     """
     lock, unlock = ("  LOCK m\n", "  UNLOCK m\n") if locked else ("", "")
+    addr = SHARED
     return (
         f"mutex m\n"
         f"mem 0x{addr:08X} 5\n"
@@ -47,7 +48,7 @@ def shared_counter(locked: bool = False, addr: int = SHARED) -> str:
     )
 
 
-def ping_pong(iterations: int, slack: int = 1, base: int = 0x00002000) -> str:
+def ping_pong(iterations: int, slack: int = 1) -> str:
     """Main and one worker trade semaphore tokens, each bumping a private
     counter per turn. Race-free; every thread keeps progressing, so discard
     horizons advance throughout.
@@ -59,6 +60,7 @@ def ping_pong(iterations: int, slack: int = 1, base: int = 0x00002000) -> str:
     """
     if slack < 1:
         raise ValueError("slack must be positive")
+    base = 0x00002000
 
     def turns(me: str, other: str, addr: int) -> list:
         out = []
@@ -77,12 +79,12 @@ def ping_pong(iterations: int, slack: int = 1, base: int = 0x00002000) -> str:
     return "\n".join(lines) + "\n"
 
 
-def contended_counter(threads: int = 4, iterations: int = 150,
-                      addr: int = 0x00003000) -> str:
+def contended_counter(threads: int = 4, iterations: int = 150) -> str:
     """All threads (main included) repeatedly update one lock-protected
     counter. Race-free; heavy segment churn with fast knowledge spread."""
     if threads < 2:
         raise ValueError("need at least two threads")
+    addr = 0x00003000
 
     def body(tid: int) -> list:
         out = []
@@ -103,12 +105,11 @@ def contended_counter(threads: int = 4, iterations: int = 150,
     return "\n".join(lines) + "\n"
 
 
-def producer_consumer(iterations: int = 100, capacity: int = 4,
-                      base: int = 0x00004000) -> str:
+def producer_consumer(iterations: int = 100, capacity: int = 4) -> str:
     """Bounded handoff: a worker produces into a small ring of addresses,
     main consumes. Backpressure keeps the producer at most ``capacity``
     items ahead, so live segment counts stay bounded."""
-    slots = [base + 4 * i for i in range(capacity)]
+    slots = [0x00004000 + 4 * i for i in range(capacity)]
     produce = []
     consume = []
     for i in range(iterations):

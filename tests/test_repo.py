@@ -1,6 +1,7 @@
 """Repository hygiene: git tracks no file that .gitignore marks as
-generated, no module imports a name it never reads, and every function
-under ``src/`` is used somewhere."""
+generated, no module imports a name it never reads, every function under
+``src/`` is used somewhere, and every defaulted parameter of one is
+passed somewhere."""
 
 import ast
 import shutil
@@ -154,3 +155,106 @@ def test_unused_function_check_ignores_self_reference_only():
                      "setattr(A, 'named', None)\n")
     assert _unreferenced_functions({"m": source}, {"u": user}) == [
         ("m", 4, "spin"), ("m", 7, "unused")]
+
+
+def _defaulted_params(tree):
+    """(line, key, parameter, position) of each parameter of a function in
+    the module that has a default. ``key`` is the name a call uses: the
+    function's, or its class's for ``__init__``. ``position`` is where a
+    call passes the parameter by position, not counting ``self`` or
+    ``cls``, or None for a keyword-only parameter."""
+    found = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                bound = cls is not None and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in child.decorator_list)
+                key = cls.name if bound and child.name == "__init__" \
+                    else child.name
+                first = len(positional) - len(args.defaults)
+                for i, arg in enumerate(positional[first:], first):
+                    found.append((child.lineno, key, arg.arg, i - bound))
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        found.append((child.lineno, key, arg.arg, None))
+                visit(child, None)
+            else:
+                visit(child, cls)
+
+    visit(tree, None)
+    return found
+
+
+def _passed(tree):
+    """name -> what calls by that name pass: (positional count, keyword
+    names), or None when some call passes ``*`` or ``**`` arguments."""
+    calls = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = (func.id if isinstance(func, ast.Name) else
+                func.attr if isinstance(func, ast.Attribute) else None)
+        if name is None or calls.get(name, ()) is None:
+            continue
+        if any(isinstance(a, ast.Starred) for a in node.args) or \
+                any(k.arg is None for k in node.keywords):
+            calls[name] = None
+            continue
+        count, names = calls.get(name, (0, frozenset()))
+        calls[name] = (max(count, len(node.args)),
+                       names | {k.arg for k in node.keywords})
+    return calls
+
+
+def _unpassed_defaults(sources, users) -> list:
+    """(source, line, function, parameter) of each defaulted parameter of
+    a function in ``sources`` that no call in ``sources`` or ``users``
+    passes, by keyword or by position. Calls are matched by name; a call
+    through ``*`` or ``**`` passes everything, and a call of a class
+    passes to its ``__init__``."""
+    calls = {}
+    for tree in {**users, **sources}.values():
+        for name, passed in _passed(tree).items():
+            old = calls.get(name, (0, frozenset()))
+            calls[name] = None if passed is None or old is None else (
+                max(old[0], passed[0]), old[1] | passed[1])
+    unpassed = []
+    for label, tree in sources.items():
+        for line, key, param, position in _defaulted_params(tree):
+            passed = calls.get(key, (0, frozenset()))
+            if passed is None or param in passed[1] or \
+                    position is not None and position < passed[0]:
+                continue
+            unpassed.append((label, line, key, param))
+    return sorted(unpassed)
+
+
+def test_every_defaulted_parameter_under_src_is_passed():
+    users = {**_parsed("tests"), **_parsed("perfbench")}
+    assert _unpassed_defaults(_parsed("src"), users) == []
+
+
+def test_unpassed_default_check_counts_positions_stars_and_classes():
+    source = ast.parse(
+        "class A:\n"
+        "    def __init__(self, x, y=1, *, z=2): pass\n"
+        "    def m(self, a=0, b=1): pass\n"
+        "    @staticmethod\n"
+        "    def s(a=0): pass\n"
+        "def f(p, q=1, r=2): pass\n"
+        "def g(k=0): pass\n"
+        "def h(*, w=0): pass\n")
+    user = ast.parse("A(0, 5).m(b=2)\n"
+                     "A.s(1)\n"
+                     "f(1, 2)\n"
+                     "g(*args)\n"
+                     "h(**opts)\n")
+    assert _unpassed_defaults({"m": source}, {"u": user}) == [
+        ("m", 2, "A", "z"), ("m", 3, "m", "a"), ("m", 6, "f", "r")]

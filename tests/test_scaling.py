@@ -13,10 +13,11 @@ from racereplay.program import parse_program
 from racereplay.record import record_execution
 
 OPS = (250, 500, 1000, 2000)
+THREADS = (2, 4, 8, 16, 32, 64)
 
 
-def _peak_live(seed, ops):
-    prog = parse_program(generate_program(seed, threads=16,
+def _peak_live(seed, ops, threads=16):
+    prog = parse_program(generate_program(seed, threads=threads,
                                           ops_per_thread=ops,
                                           lock_density=1.0))
     result = detect(prog, record_execution(prog, 1).trace)
@@ -34,3 +35,14 @@ def test_live_segments_stay_flat_in_ops_per_thread(seed):
         peaks[ops], created = _peak_live(seed, ops)
         assert created > 3 * ops  # the run does grow with ops
     assert max(peaks.values()) <= 2 * peaks[OPS[0]], peaks
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_live_segments_grow_at_most_linearly_in_threads(seed):
+    # 6400 lock-synchronised ops split over 2 to 64 threads: the live peak
+    # per thread stays within twice its value at 4 threads. At 2 threads the
+    # one worker holds the horizon alone once main is done with memory, so
+    # its segments drop at once and that point gives no per-thread rate.
+    peaks = {n: _peak_live(seed, 6400 // n, threads=n)[0] for n in THREADS}
+    rate = peaks[4] / 4
+    assert all(peaks[n] <= 2 * rate * n for n in THREADS), peaks
