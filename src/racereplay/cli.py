@@ -220,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="keep scanning past the first race")
     detecting.add_argument(
         "--probe-live-segments", metavar="CSV",
-        help="write live-segment counts under both discard policies")
+        help="write live-segment counts under both discard horizons")
 
     p = add("record", cmd_record, help="run once and write the sync trace")
     p.add_argument("program")

@@ -8,7 +8,9 @@ object's clock, an acquire-like op joins the object's clock into the
 thread's, and every sync op then increments the thread's own component,
 which is what delimits segments.
 
-Two discard horizons are supported. The *snooped* horizon is the
+Two discard horizons are supported, and one discard rule applies to
+both: a segment of thread ``v`` goes once its own component ``clock[v]`` is
+at most the horizon's column ``v``. The *snooped* horizon is the
 columnwise minimum of live vector clocks read directly: the detector takes
 it over the threads that still have a memory access to make. The *logical*
 horizon is the columnwise minimum of a matrix clock propagated only along
@@ -58,7 +60,10 @@ def vc_compare(a, b) -> Ordering:
 
 
 def vc_strictly_below(a, b) -> bool:
-    """True when every component of a is strictly below b (discard test)."""
+    """True when every component of a is strictly below b.
+
+    The discard's early-out: with a the horizon and b the own components
+    of the threads' oldest stored segments, no segment can drop."""
     return all(map(lt, a, b))
 
 

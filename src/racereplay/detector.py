@@ -59,9 +59,9 @@ one C-level test plus one bisect per thread whose head drops.
 
 A ``DetectorListener`` passed to ``detect`` sees every segment close,
 every discarded prefix and every sync op. ``LiveSegmentProbe`` is one: it
-tracks a second, causally-propagated matrix-clock horizon side by side and
-samples the live segment counts under both discard policies at every sync
-op.
+tracks a second, causally-propagated matrix-clock horizon side by side,
+discards by the same epoch test against it, and samples the live segment
+counts under both horizons at every sync op.
 """
 
 from __future__ import annotations
@@ -517,9 +517,6 @@ class _DetectorState:
                     kept.append(_new_tuple(_Stub, (tid, seg.index, clock,
                                                    witnesses, kind)))
 
-    def _live_stored(self) -> int:
-        return self.stats.segments_created - self.stats.segments_discarded
-
     # -- end of stream ------------------------------------------------------------
 
     def finish(self):
@@ -529,22 +526,6 @@ class _DetectorState:
                 return
 
 
-def _prefix_below(segments: list, horizon) -> int:
-    """How many leading ``segments`` of one thread are strictly below
-    ``horizon``.
-
-    A thread's clocks never decrease from one segment to the next, so if a
-    segment is strictly below the horizon, so is every earlier segment of
-    that thread: the segments below it are always a prefix of the list,
-    and the count stops at the first segment that is not.
-    """
-    dead = 0
-    while dead < len(segments) and \
-            vc_strictly_below(segments[dead].clock, horizon):
-        dead += 1
-    return dead
-
-
 class LiveSegmentProbe(DetectorListener):
     """Live segment counts under the snooped discard and a logical one.
 
@@ -552,16 +533,26 @@ class LiveSegmentProbe(DetectorListener):
     that thread could discard by its causally-propagated knowledge alone.
     ``rows`` gets one ``(sync events seen, live under the snooped
     discard, live under the logical discard)`` row at every sync op. The
-    logical horizon differs from one op to the next, so every thread's
-    list is re-tested at every op. The snooped count is what the
-    detector's own discard leaves live, so the probe needs ``gc=True``.
+    snooped count is what the detector's own discard leaves live, read
+    from ``state.stats``, so the probe needs ``gc=True``.
 
-    The logical discard drops a segment only once its whole clock is
-    strictly below the logical horizon. The snooped count is never above
-    the logical one: each matrix row is at most the clock of its thread,
-    so the snooped horizon, a minimum over some of those clocks, is at
-    least the logical one, and a clock strictly below a horizon is below
-    it in its own component.
+    Both discards use the detector's epoch test: a segment of thread ``v``
+    goes once its own component is at most the horizon's column ``v``. The
+    probe keeps only those own components, ``ghosts[v]`` for the segments
+    of ``v`` in close order, and holds no segment. The logical horizon
+    differs from one op to the next, so at every op one ``bisect_right``
+    per thread drops the prefix at or below ``logical[v]``.
+
+    Row ``u`` of the syncing thread's matrix is zero or a clock thread
+    ``u`` held, so it is at most ``u``'s current clock, and the logical
+    horizon is at most every thread's current clock. The epoch argument of
+    ``_DetectorState._scan_for_races`` then makes the logical discard
+    sound: every segment any thread closes later has a clock at or above
+    that thread's current one. The snooped horizon is a minimum over some
+    of the current clocks, which never fall, so it is at least every
+    logical horizon seen so far: every segment the logical discard has
+    dropped the detector has dropped too, and the snooped count is never
+    above the logical one.
     """
 
     def __init__(self, program: Program):
@@ -571,17 +562,19 @@ class LiveSegmentProbe(DetectorListener):
         self.rows: list[tuple] = []
 
     def on_close(self, state, seg):
-        self.ghosts[seg.tid].append(seg)
+        self.ghosts[seg.tid].append(seg.clock[seg.tid])
 
     def on_sync(self, state, tid, obj, acquire):
         if not state.gc:
             raise ValueError(
-                "probe mode compares the discard policies and needs gc=True")
+                "probe mode compares the discard horizons and needs gc=True")
         self.matrix.apply_sync(tid, obj, acquire, state.clocks.threads[tid])
         logical = self.matrix.horizon(tid)
-        for ghosts in self.ghosts:
-            del ghosts[:_prefix_below(ghosts, logical)]
-        self.rows.append((state.stats.sync_events, state._live_stored(),
+        for ghosts, bound in zip(self.ghosts, logical):
+            del ghosts[:bisect_right(ghosts, bound)]
+        stats = state.stats
+        self.rows.append((stats.sync_events,
+                          stats.segments_created - stats.segments_discarded,
                           sum(map(len, self.ghosts))))
 
 

@@ -610,3 +610,24 @@ def test_detect_memory_stays_bounded():
         tracemalloc.stop()
     assert result.status == CLEAN
     assert peak < 1 << 20
+
+
+def test_probe_holds_no_segments():
+    # The probe keeps one int per segment its logical horizon has not yet
+    # passed, not the segment with its bitmaps, so it adds little to the
+    # detector's own peak.
+    program = parse_program(generate_program(5, threads=16,
+                                             ops_per_thread=500,
+                                             lock_density=1.0))
+    trace = record_execution(program, 1).trace
+    peaks = []
+    for probed in (False, True):
+        tracemalloc.start()
+        try:
+            probe = LiveSegmentProbe(program) if probed else None
+            assert detect(program, trace, listener=probe).status == CLEAN
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    without, with_probe = peaks
+    assert with_probe <= 1.5 * without, peaks
