@@ -158,8 +158,8 @@ def cmd_pipeline(args) -> int:
     size = rec.trace.write(trace_path)
 
     result = _run_detect(program, rec.trace, args)
-    if result.status == RACE:
-        report = result.report
+    # One identify replay per report; only --all-races finds more than one.
+    for report in result.reports:
         try:
             report.instructions = identify(program, rec.trace, report,
                                            replay_seed=args.replay_seed)

@@ -41,21 +41,23 @@ sound for two reasons:
   final (*frozen*): its accesses and its clock cannot change before the
   next sync op of its thread closes it. A segment dropped while ``f`` is
   frozen is concurrent with ``f`` exactly when ``s.clock[v]`` is above
-  ``f``'s clock there. For each such pair the race test runs at once, and
-  a stub keeps its result with the dropped segment's thread, index, clock
-  and access kind. When ``f`` closes, its scan takes each visited
-  thread's stubs before its stored segments, and gives each the same
-  comparison, count and report step as a stored segment, so reports,
-  their order and the counts are those the segment itself would give.
+  ``f``'s clock there. For each such pair the race test runs at once,
+  and ``f`` keeps the dropped segment trimmed to that test's witnesses.
+  When ``f`` closes, its scan takes each visited thread's trimmed
+  segments before its stored ones, with the same compare, count and
+  report step, so reports, their order and the counts are those the
+  dropped segments themselves would give.
 
-The horizon is kept from one sync op to the next. A sync op changes only
-the syncing thread's clock, and clocks never decrease, so a column's
-minimum can move only where that thread held it and its value rose, or
-when a thread leaves the horizon. An acquire therefore costs one O(n)
-check, and a release, which raises only the thread's own column, one
-compare; the horizon is recomputed only when the check fires or a thread
-leaves, and the list heads are re-tested only when it is recomputed, at
-one C-level test plus one bisect per thread whose head drops.
+The horizon is kept from one sync op to the next, with ``holders[c]``,
+the number of its rows at column ``c``'s minimum. A sync op changes only
+the syncing thread's clock, and clocks never decrease, so a row can leave
+a column's minimum, where it held it and its value rose, but no row can
+join one. The op takes one holder from each column its thread left, and
+only a column left with no holder is recomputed, at O(n), with only its
+own thread's list re-tested. A release raises only its thread's own
+column, so it costs one compare. The only head an op can create is its
+own thread's, so that head is tested once per op. The whole horizon is
+recomputed only when a thread leaves it.
 
 A ``DetectorListener`` passed to ``detect`` sees every segment close,
 every discarded prefix and every sync op. ``LiveSegmentProbe`` is one: it
@@ -70,8 +72,8 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import compress, count
-from operator import and_, eq, gt, le, lt, sub
-from typing import NamedTuple, Optional
+from operator import and_, eq, gt, le, lt
+from typing import Optional
 
 from .bitmap import MultilevelBitmap, race_witnesses
 from .clocks import (MatrixClockTracker, Ordering, VectorClockTracker,
@@ -150,33 +152,33 @@ class DetectResult:
         return self.reports[0] if self.reports else None
 
 
-class _Stub(NamedTuple):
-    """A dropped segment, kept for a frozen segment it is concurrent with:
-    its race test against that segment is already run."""
-    tid: int
-    index: int
-    clock: tuple
-    witnesses: list
-    kind: str  # the dropped segment's access kind on the first witness
+# The accesses of a trimmed segment with no witness; never written.
+_NO_ACCESSES = MultilevelBitmap()
 
 
-# Builds a _Stub from a 5-tuple without the NamedTuple's Python-level __new__.
-_new_tuple = tuple.__new__
-
-
-def _side(seg, addr: int) -> RaceSide:
-    if seg.__class__ is _Stub:
-        return RaceSide(seg.tid, seg.index, seg.clock, seg.kind)
+def _side(seg: Segment, addr: int) -> RaceSide:
     kind = "store" if addr in seg.stores else "load"
     return RaceSide(seg.tid, seg.index, seg.clock, kind)
 
 
-def _make_report(other, seg: Segment, witnesses) -> RaceReport:
-    """``other``, a stored segment or a stub, is of another thread."""
+def _make_report(other: Segment, seg: Segment, witnesses) -> RaceReport:
+    """``other``, a stored or trimmed segment, is of another thread."""
     w = witnesses[0]
     a, b = _side(other, w), _side(seg, w)
     first, second = (a, b) if a.tid < b.tid else (b, a)
     return RaceReport(witnesses=tuple(witnesses), side1=first, side2=second)
+
+
+def _trimmed(seg: Segment, witnesses) -> Segment:
+    """``seg`` with only ``witnesses`` in its bitmaps: each in ``stores``
+    if ``seg`` stored it, else in ``loads``."""
+    if not witnesses:
+        return Segment(seg.tid, seg.index, _NO_ACCESSES, _NO_ACCESSES,
+                       seg.clock)
+    loads, stores = MultilevelBitmap(), MultilevelBitmap()
+    for w in witnesses:
+        (stores if w in seg.stores else loads).insert(w)
+    return Segment(seg.tid, seg.index, loads, stores, seg.clock)
 
 
 class DetectorListener:
@@ -227,13 +229,14 @@ class _DetectorState:
         # horizon; without discard no event does.
         self.last_access = program.last_access if gc else (-1,) * n
         self.in_horizon = [last >= 0 for last in program.last_access]
-        # frozen[tid]: the stubs a frozen open segment holds, by thread.
+        # frozen[tid]: the trimmed segments a frozen open segment holds,
+        # by thread.
         self.frozen: dict[int, dict[int, list]] = {}
-        # The snooped horizon, kept exact, and the count of its holders in
-        # each column when known. Every clock starts at zero.
-        self.horizon = ((0,) * n if any(self.in_horizon)
-                        else (_PAST_EVERY_CLOCK,) * n)
-        self.holders = None
+        # The snooped horizon and holders[c], the number of its rows at
+        # column c's minimum, both kept exact. Every clock starts at zero.
+        rows = sum(self.in_horizon)
+        self.horizon = [0 if rows else _PAST_EVERY_CLOCK] * n
+        self.holders = [rows] * n
         self.reports: list[RaceReport] = []
         self.stats = DetectStats()
 
@@ -270,7 +273,7 @@ class _DetectorState:
         self.open[tid] = None
         seg.clock = clock = self.clocks.threads[tid]
         self.closed_count[tid] += 1
-        stubs = self.frozen.pop(tid, None) if self.frozen else None
+        stubs = self.frozen.pop(tid, {})
         found = self._scan_for_races(seg, stubs)
         epochs = self.epochs[tid]
         if not epochs:
@@ -287,10 +290,10 @@ class _DetectorState:
             self.listener.on_close(self, seg)
         return found
 
-    def _scan_for_races(self, seg: Segment, stubs) -> bool:
+    def _scan_for_races(self, seg: Segment, stubs: dict) -> bool:
         """Compare against the concurrent stored segments in ascending
-        (tid, index) order, taking each thread's stubs, if ``seg`` holds
-        any, before its stored segments.
+        (tid, index) order, taking each thread's trimmed segments in
+        ``stubs``, if ``seg`` was frozen, before its stored ones.
 
         Let ``other`` be a stored segment of thread ``u``; it closed before
         ``seg``, and ``other.clock`` is ``u``'s clock at the sync op that
@@ -327,32 +330,23 @@ class _DetectorState:
           segment, and so every earlier one, is ordered before ``seg``.
         - The closing thread never qualifies: each of its sync ops bumps
           its own component, so ``newest[t] < seg.clock[t]``.
-        - A list emptied by discard is visited only by a frozen segment
-          that holds a stub of its newest segment. That segment was
-          dropped with its own component at most the horizon. A thread
-          in the horizon then held a clock at least as high there, and
-          ``seg.clock`` is above that clock if ``seg``'s thread was in the
-          horizon; otherwise ``seg`` was frozen, and the segment left it a
-          stub exactly when it was concurrent with ``seg``. The stub's
-          thread is therefore visited, and its stubs are its segments
-          that come before the stored ones.
+        - A thread whose newest segment was dropped is visited only if
+          ``seg`` holds it trimmed. At the drop its own component was at
+          most the horizon's. If ``seg``'s thread was in the horizon, its
+          clock was at least that high there, and ``seg.clock`` is above
+          that clock. Otherwise ``seg`` was frozen, and it was given the
+          trimmed segment exactly when the two were concurrent. A trimmed
+          segment is compared, counted and race-tested like the segment
+          it stands for, and gives back the same witnesses and kinds.
         """
         clock, loads, stores = seg.clock, seg.loads, seg.stores
         stored_by, epochs = self.stored, self.epochs
         compared = 0
         for tid in compress(count(), map(gt, self.newest, clock)):
-            for stub in stubs.get(tid, ()) if stubs else ():
-                if vc_compare(stub.clock, clock) is not _CONCURRENT:
-                    continue
-                compared += 1
-                if stub.witnesses:
-                    self.reports.append(
-                        _make_report(stub, seg, stub.witnesses))
-                    if not self.all_races:
-                        self.stats.segments_compared += compared
-                        return True
-            start = bisect_right(epochs[tid], clock[tid])
-            for other in stored_by[tid][start:]:
+            others = stored_by[tid][bisect_right(epochs[tid], clock[tid]):]
+            if tid in stubs:
+                others = stubs[tid] + others
+            for other in others:
                 if vc_compare(other.clock, clock) is not _CONCURRENT:
                     continue
                 compared += 1
@@ -368,136 +362,103 @@ class _DetectorState:
 
     # -- discard ----------------------------------------------------------------
 
-    def _raise_horizon(self):
-        """Recompute the horizon, the componentwise minimum of the clocks
-        of the threads in the horizon, and drop what it passes.
-
-        A recompute that finds the horizon where it was met a tie: another
-        row holds the minimum the syncing thread left. Then ``holders[c]``
-        is set to the number of rows at column ``c``'s minimum, so that the
-        next syncs that only take a holder away need no recompute; after a
-        rise it is ``None`` again.
-        """
-        rows = list(compress(self.clocks.threads, self.in_horizon))
-        horizon = (column_min(rows) if rows
-                   else (_PAST_EVERY_CLOCK,) * len(self.heads))
-        if horizon == self.horizon:
-            if rows:
-                self.holders = list(map(tuple.count, zip(*rows), horizon))
-        else:
-            self.horizon = horizon
-            self.holders = None
-        self._drop_below(horizon)
-
     def _freeze(self, seg: Segment):
         """``seg``'s thread made its last memory access: take it out of the
         horizon and freeze ``seg``.
 
         The thread's clock cannot change before its next sync op, which
-        closes ``seg``, so ``seg.clock`` is set now. Taking a row out of a
-        minimum never lowers it, so the horizon can only rise.
+        closes ``seg``, so ``seg.clock`` is set now. The horizon and its
+        holder counts are then recomputed from the remaining rows, the one
+        full recompute, and every list head is tested against it;
+        ``vc_strictly_below`` is one C-level test that none can drop.
+        Taking a row out of a minimum never lowers it, so the horizon can
+        only rise.
         """
         tid = seg.tid
         seg.clock = self.clocks.threads[tid]
         self.in_horizon[tid] = False
         self.frozen[tid] = {}
-        self._raise_horizon()
-
-    def _collect_garbage(self, closing_tid: int, before: tuple,
-                         acquire: bool):
-        """Advance the snooped horizon past a sync op of ``closing_tid``
-        and discard the stored segments it passes.
-
-        ``before`` is the thread's clock before the op. The op changed
-        only that thread's clock, and clocks never decrease.
-        So a clock leaves a column's minimum only where it held it and its
-        value rose, and no clock joins the minimum. Unless a column passes
-        both tests, the horizon stays exactly as it was. When one does,
-        ``column_min`` is called, unless ``holders`` is known and shows
-        that every such column keeps another holder. A thread out of the
-        horizon has no row in it, so its ops never move the horizon.
-
-        Only an acquire can raise a column other than the thread's own: a
-        release (``UNLOCK``, ``SEM_POST``, ``CREATE``, ``EXIT``) publishes
-        ``before`` and leaves the thread at ``before`` with its own
-        component bumped by one. So after a release the own column is the
-        only one that rose, and the O(n) column check reduces to one
-        compare: did ``before`` hold that column's minimum. That holds
-        only when the thread is alone in the horizon, or at main's first
-        sync op: no other thread has seen the own component that a release
-        is about to publish, unless it is 0.
-
-        If the horizon is not recomputed, no head can be at or below it.
-        The only segment the op can have stored is the one it closed, with
-        own component ``before[t]``. If the thread is in the horizon, its
-        column's minimum is at most ``before[t]``, and when it is equal the
-        check above fires. (No other thread has seen ``before[t]``, which
-        only this op releases, unless it is 0, at main's first sync op. So
-        the thread is alone in the horizon, and the op raises the column,
-        or every clock's column 0 is 0 and the head can drop although the
-        horizon stays; ``holders`` is still unknown then, as no other
-        thread has run and nothing has recomputed the horizon, so the
-        recompute runs.) If the thread is out of the horizon, every thread
-        in it has seen less of the thread than ``before[t]``, except in
-        that column 0, and the column is above every clock when no thread
-        is left in the horizon: so the head of the thread's list is tested
-        once. Every other head stayed at the last recompute or was stored
-        since then, by this same argument. Heads are thus re-tested only
-        when the horizon is recomputed.
-        """
-        horizon = self.horizon
-        if not self.in_horizon[closing_tid]:
-            if self.heads[closing_tid] <= horizon[closing_tid]:
-                self._drop_below(horizon)
-            return
-        if acquire:
-            after = self.clocks.threads[closing_tid]
-            if not any(map(and_, map(eq, before, horizon),
-                           map(lt, before, after))):
-                return
-            holders = self.holders
-            if holders is not None:
-                self.holders = holders = list(map(
-                    sub, holders, map(and_, map(eq, before, horizon),
-                                      map(lt, before, after))))
-                if 0 not in holders:
-                    return
-        elif before[closing_tid] != horizon[closing_tid]:
-            return
-        self._raise_horizon()
-
-    def _drop_below(self, horizon):
-        """Pop each thread ``v``'s stored segments whose own component is
-        at most ``horizon[v]``, with their entries in ``epochs``.
-
-        Own components increase along each list, so these are a prefix.
-        ``vc_strictly_below(horizon, heads)`` is one C-level test that no
-        head can drop.
-        """
-        heads = self.heads
+        rows = list(compress(self.clocks.threads, self.in_horizon))
+        if rows:
+            self.horizon = list(column_min(rows))
+            self.holders = list(map(tuple.count, zip(*rows), self.horizon))
+        else:
+            self.horizon = [_PAST_EVERY_CLOCK] * len(self.heads)
+            self.holders = [0] * len(self.heads)
+        heads, horizon = self.heads, self.horizon
         if vc_strictly_below(horizon, heads):
             return
-        for tid in compress(count(), map(le, heads, horizon)):
-            epochs = self.epochs[tid]
-            dead = bisect_right(epochs, horizon[tid])
-            stored = self.stored[tid]
-            if self.listener is not None:
-                self.listener.on_discard(self, stored[:dead])
-            if self.frozen:
-                self._leave_stubs(stored[:dead])
-            del stored[:dead]
-            del epochs[:dead]
-            heads[tid] = epochs[0] if epochs else _NO_HEAD
-            self.stats.segments_discarded += dead
+        for v in compress(count(), map(le, heads, horizon)):
+            self._drop(v)
+
+    def _collect_garbage(self, tid: int, before: tuple, acquire: bool):
+        """Advance the snooped horizon past a sync op of ``tid`` and
+        discard the stored segments it passes.
+
+        ``before`` is the thread's clock before the op, the only clock the
+        op changed. A thread in the horizon left column ``c``'s minimum
+        where ``before[c]`` held it and the op raised it; each such column
+        loses a holder, and one left with none is recomputed from the rows
+        and its own thread's head re-tested. A release (``UNLOCK``,
+        ``SEM_POST``, ``CREATE``, ``EXIT``) only bumps the own component,
+        so it can leave no other column. A thread out of the horizon has
+        no row. Apart from those heads, the op can change only its own
+        thread's, by storing the segment it closed, so that head is tested
+        once. Every other head stays above the horizon, as it was.
+        """
+        horizon, holders = self.horizon, self.holders
+        if self.in_horizon[tid]:
+            if acquire:
+                after = self.clocks.threads[tid]
+                left = list(compress(count(), map(
+                    and_, map(eq, before, horizon), map(lt, before, after))))
+            else:
+                left = (tid,) if before[tid] == horizon[tid] else ()
+            for c in left:
+                holders[c] -= 1
+                if not holders[c]:
+                    column = [clock[c] for clock in
+                              compress(self.clocks.threads, self.in_horizon)]
+                    horizon[c] = low = min(column)
+                    holders[c] = column.count(low)
+                    if self.heads[c] <= low:
+                        self._drop(c)
+        if self.heads[tid] <= horizon[tid]:
+            self._drop(tid)
+
+    def _drop(self, tid: int):
+        """Pop thread ``tid``'s stored segments whose own component is at
+        most ``horizon[tid]``, with their entries in ``epochs``.
+
+        Own components increase along the list, so these are a prefix.
+        """
+        epochs = self.epochs[tid]
+        dead = bisect_right(epochs, self.horizon[tid])
+        stored = self.stored[tid]
+        if self.listener is not None:
+            self.listener.on_discard(self, stored[:dead])
+        if self.frozen:
+            self._leave_stubs(stored[:dead])
+        del stored[:dead]
+        del epochs[:dead]
+        self.heads[tid] = epochs[0] if epochs else _NO_HEAD
+        self.stats.segments_discarded += dead
 
     def _leave_stubs(self, dropped: list):
         """Race-test the dropped segments of one thread against each frozen
-        segment they are concurrent with, and keep a stub of each pair.
+        segment they are concurrent with, and keep each such segment,
+        trimmed to that test's witnesses, for the frozen segment's scan.
 
         A dropped segment closed before the frozen segment ``f`` will, so
         by the scan's epoch argument and its converse it is concurrent
         with ``f`` exactly when its own component is above ``f.clock``'s.
         Own components increase along ``dropped``, so those are a suffix.
+
+        The race formula on ``f`` and the trimmed segment gives back
+        exactly the witnesses, with the same access kinds: a witness the
+        dropped segment stored is one ``f`` accessed, and one it only
+        loaded is one ``f`` stored. With no witness both bitmaps are the
+        empty ``_NO_ACCESSES``, and the scan's race test is O(1).
         """
         tid = dropped[0].tid
         for frozen_tid, stubs in self.frozen.items():
@@ -508,14 +469,9 @@ class _DetectorState:
             kept = stubs.setdefault(tid, [])
             loads, stores = f.loads, f.stores
             for seg in dropped:
-                clock = seg.clock
-                if clock[tid] > bound:
-                    witnesses = race_witnesses(loads, stores,
-                                               seg.loads, seg.stores)
-                    kind = ("" if not witnesses else "store"
-                            if witnesses[0] in seg.stores else "load")
-                    kept.append(_new_tuple(_Stub, (tid, seg.index, clock,
-                                                   witnesses, kind)))
+                if seg.clock[tid] > bound:
+                    kept.append(_trimmed(seg, race_witnesses(
+                        loads, stores, seg.loads, seg.stores)))
 
     # -- end of stream ------------------------------------------------------------
 

@@ -200,7 +200,8 @@ _READY, _EXITED = _Status.READY, _Status.EXITED
 
 
 class Machine:
-    def __init__(self, program: Program, seed: int, hooks: Optional[ExecutionHooks] = None):
+    def __init__(self, program: Program, seed: int,
+                 hooks: Optional[ExecutionHooks]):
         if not 0 <= seed <= MASK64:
             raise ValueError("seed must be a 64-bit unsigned integer")
         self.program = program

@@ -7,6 +7,8 @@ emitted both as an aligned table and as key=value records.
 
 from __future__ import annotations
 
+from operator import ge
+
 from .detector import RaceReport, RaceSide
 from .errors import RaceReplayError
 from .identify import InstructionSite
@@ -42,8 +44,13 @@ def _parse_side(value: str) -> RaceSide:
         key, _, val = item.partition("=")
         fields[key] = val
     clock = tuple(int(c) for c in fields["clock"].split(",")) if "clock" in fields else ()
-    return RaceSide(tid=tid, segment=int(fields["seg"]),
+    side = RaceSide(tid=tid, segment=int(fields["seg"]),
                     clock=clock, kind=fields["kind"])
+    if side.tid < 0 or side.segment < 0:
+        raise ValueError(f"negative thread or segment in {value!r}")
+    if side.kind not in ("load", "store"):
+        raise ValueError(f"access kind {side.kind!r} is neither load nor store")
+    return side
 
 
 def _parse_site(value: str) -> InstructionSite:
@@ -66,6 +73,10 @@ def parse_report_record(text: str) -> RaceReport:
         witnesses = tuple(int(w, 16) for w in fields["witnesses"].split(","))
         side1 = _parse_side(fields["t1"])
         side2 = _parse_side(fields["t2"])
+        if side1.tid == side2.tid:
+            raise ValueError(f"both sides on thread {side1.tid}")
+        if any(map(ge, witnesses, witnesses[1:])):
+            raise ValueError("witnesses not strictly ascending")
         instructions = None
         if "i1" in fields and "i2" in fields:
             instructions = (_parse_site(fields["i1"]), _parse_site(fields["i2"]))
@@ -75,7 +86,7 @@ def parse_report_record(text: str) -> RaceReport:
                       instructions=instructions)
 
 
-def report_human_text(report: RaceReport, program: Program = None) -> str:
+def report_human_text(report: RaceReport, program: Program) -> str:
     lines = [f"data race on 0x{report.witness:08X}"]
     if len(report.witnesses) > 1:
         lines[0] += f" (+{len(report.witnesses) - 1} more addresses)"
@@ -86,11 +97,9 @@ def report_human_text(report: RaceReport, program: Program = None) -> str:
         lines.append("  racing instructions: unknown (run the identification phase)")
     else:
         for site in report.instructions:
-            text = ""
-            if program is not None:
-                text = f"  {program.instruction_text(site.tid, site.ordinal)}"
+            text = program.instruction_text(site.tid, site.ordinal)
             lines.append(f"  thread {site.tid} instruction {site.ordinal}:"
-                         f"{text}  ({site.kind} 0x{site.address:08X})")
+                         f"  {text}  ({site.kind} 0x{site.address:08X})")
     return "\n".join(lines)
 
 

@@ -79,7 +79,7 @@ def ping_pong(iterations: int, slack: int = 1) -> str:
     return "\n".join(lines) + "\n"
 
 
-def contended_counter(threads: int = 4, iterations: int = 150) -> str:
+def contended_counter(threads: int, iterations: int) -> str:
     """All threads (main included) repeatedly update one lock-protected
     counter. Race-free; heavy segment churn with fast knowledge spread."""
     if threads < 2:
@@ -105,7 +105,7 @@ def contended_counter(threads: int = 4, iterations: int = 150) -> str:
     return "\n".join(lines) + "\n"
 
 
-def producer_consumer(iterations: int = 100, capacity: int = 4) -> str:
+def producer_consumer(iterations: int, capacity: int) -> str:
     """Bounded handoff: a worker produces into a small ring of addresses,
     main consumes. Backpressure keeps the producer at most ``capacity``
     items ahead, so live segment counts stay bounded."""

@@ -1,17 +1,22 @@
 """CLI: exit codes, artifacts, formats."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from _helpers import TWO_RACES
+from _helpers import TWO_RACES, replay_events
 
 import racereplay
 from racereplay import generator, workloads
 from racereplay.cli import main
+from racereplay.detector import detect
 from racereplay.errors import RaceReplayError
+from racereplay.oracle import expected_instruction_pair, full_access_log
+from racereplay.program import parse_program
+from racereplay.record import record_execution
 from racereplay.reporting import parse_report_record
 from racereplay.tracefile import SyncTrace
 
@@ -62,6 +67,28 @@ def test_pipeline_prints_every_race_detect_prints(tmp_path, capsys):
     assert races(capsys.readouterr().out) == detected
 
 
+def test_pipeline_all_races_identifies_every_race(tmp_path, capsys):
+    path = tmp_path / "two.prog"
+    path.write_text(TWO_RACES)
+    program = parse_program(TWO_RACES)
+    trace = record_execution(program, 1).trace
+    reports = detect(program, trace, all_races=True).reports
+    log = full_access_log(replay_events(program, trace)[0],
+                          program.n_threads)
+    expected = [expected_instruction_pair(log, report) for report in reports]
+    assert len(expected) == 2
+    assert main(["pipeline", str(path), "--seed", "1", "--all-races"]) == 10
+    out = capsys.readouterr().out
+    assert "racing instructions: unknown" not in out
+    blocks = out.split("data race on")[1:]
+    sites = [tuple((int(tid), int(ordinal), kind, int(addr, 16))
+                   for tid, ordinal, kind, addr in re.findall(
+                       r"thread (\d+) instruction (\d+):.*\((\w+) 0x(\w+)\)",
+                       block))
+             for block in blocks]
+    assert sites == expected
+
+
 def test_pipeline_clean_exit(clean, capsys):
     assert main(["pipeline", clean, "--seed", "5"]) == 0
     out = capsys.readouterr().out
@@ -110,6 +137,40 @@ def test_identify_garbled_report_usage_error(racy, tmp_path, capsys):
     assert main(["record", racy, "--seed", "8", "-o", trace]) == 0
     assert main(["identify", racy, "--trace", trace, "--report", str(report)]) == 1
     assert "malformed report record" in capsys.readouterr().err
+
+
+TWO_RACES_REPORT = ("witness=0x00000100\nwitnesses=0x00000100\n"
+                    "t1=1 seg=0 kind=store clock=0,1,0\n"
+                    "t2=2 seg=0 kind=store clock=1,0,1\n")
+
+
+@pytest.mark.parametrize("find, replace, message", [
+    ("t2=2", "t2=1", "both sides on thread 1"),
+    ("t1=1 seg=0 kind=store", "t1=1 seg=0 kind=write",
+     "neither load nor store"),
+    ("t1=1 seg=0", "t1=1 seg=-1", "negative thread or segment"),
+    ("witnesses=0x00000100", "witnesses=0x00000200,0x00000100",
+     "not strictly ascending"),
+    ("witnesses=0x00000100", "witnesses=0x00000100,0x00000100",
+     "not strictly ascending"),
+])
+def test_identify_refuses_a_report_detect_never_writes(
+        find, replace, message, tmp_path, capsys):
+    path = tmp_path / "two.prog"
+    path.write_text(TWO_RACES)
+    trace = str(tmp_path / "two.trace")
+    report = tmp_path / "two.report"
+    assert main(["record", str(path), "-o", trace]) == 0
+    report.write_text(TWO_RACES_REPORT)
+    assert main(["identify", str(path), "--trace", trace,
+                 "--report", str(report)]) == 10
+    capsys.readouterr()
+    assert find in TWO_RACES_REPORT
+    report.write_text(TWO_RACES_REPORT.replace(find, replace))
+    assert main(["identify", str(path), "--trace", trace,
+                 "--report", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert "malformed report record" in err and message in err
 
 
 def test_directory_as_program_usage_error(tmp_path, capsys):

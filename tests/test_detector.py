@@ -340,19 +340,56 @@ def _counting(monkeypatch, name):
     return calls
 
 
+def _stubs_held(state):
+    return sum(len(kept) for stubs in state.frozen.values()
+               for kept in stubs.values())
+
+
 def test_scan_and_discard_work_bound(monkeypatch):
-    # Only concurrent segments are compared, each compared pair gets
-    # exactly one race test, and each thread's discard stops at the first
-    # segment that stays.
+    # Only concurrent segments are compared, and each compared pair gets
+    # exactly one race test in the scan. A drop race-tests each pair it
+    # keeps a trimmed segment for once, and no other; the scan's test of a
+    # trimmed segment with no witness is O(1). Each thread's discard stops
+    # at the first segment that stays.
     compares = _counting(monkeypatch, "vc_compare")
-    tests = _counting(monkeypatch, "race_witnesses")
     below = _counting(monkeypatch, "vc_strictly_below")
+    real_test = detector_mod.race_witnesses
+    state_cls = detector_mod._DetectorState
+    real_scan, real_leave = state_cls._scan_for_races, state_cls._leave_stubs
+    tests = {"scan": 0, "drop": 0, None: 0}  # race tests, by caller
+    where = [None]
+    made = [0]
+
+    def counted(*args):
+        tests[where[0]] += 1
+        return real_test(*args)
+
+    def scan(state, seg, stubs):
+        where[0] = "scan"
+        try:
+            return real_scan(state, seg, stubs)
+        finally:
+            where[0] = None
+
+    def leave(state, dropped):
+        held = _stubs_held(state)
+        where[0] = "drop"
+        try:
+            real_leave(state, dropped)
+        finally:
+            where[0] = None
+        made[0] += _stubs_held(state) - held
+
+    monkeypatch.setattr(detector_mod, "race_witnesses", counted)
+    monkeypatch.setattr(state_cls, "_scan_for_races", scan)
+    monkeypatch.setattr(state_cls, "_leave_stubs", leave)
     prog = parse_program(generate_program(3, threads=16, ops_per_thread=200))
     rec = record_execution(prog, 1)
     st = detect(prog, rec.trace, all_races=True).stats
     assert st.segments_compared > 0
+    assert made[0] > 0
     assert compares[0] == st.segments_compared
-    assert tests[0] == st.segments_compared
+    assert tests == {"scan": st.segments_compared, "drop": made[0], None: 0}
     assert below[0] <= st.sync_events * prog.n_threads + st.segments_discarded
 
 
@@ -421,11 +458,13 @@ class _HeadCheck(DetectorListener):
 
 def test_kept_horizon_is_exact_and_no_head_is_below_it(monkeypatch):
     # After every event the horizon is the componentwise minimum of the
-    # clocks of the threads that still have a LOAD or STORE to make, and
-    # no list head has an own component at or below its column of it. The
-    # horizon is recomputed only when the syncing thread held a column's
-    # minimum alone, or a thread made its last access, and heads are
-    # re-tested only when it rises; neither shortcut may lose a discard.
+    # clocks of the threads that still have a LOAD or STORE to make,
+    # holders counts the rows at each column's minimum, and no list head
+    # has an own component at or below its column of it. A sync op
+    # recomputes only a column it took the last holder from, and re-tests
+    # only that column's head and its own thread's; the whole horizon is
+    # recomputed only when a thread makes its last access. No shortcut may
+    # lose a discard.
     real = detector_mod._DetectorState.on_event
     past = {}  # the threads that made their last access, this run
     events = [0]
@@ -444,10 +483,13 @@ def test_kept_horizon_is_exact_and_no_head_is_below_it(monkeypatch):
         rows = [threads[t] for t, last in enumerate(lasts)
                 if last >= 0 and t not in done]
         if rows:
-            assert state.horizon == column_min(rows)
+            assert state.horizon == list(column_min(rows))
+            assert state.holders == [col.count(low) for col, low in
+                                     zip(zip(*rows), state.horizon)]
         else:
             top = max(max(clock) for clock in threads)
             assert min(state.horizon) > top
+            assert state.holders == [0] * prog.n_threads
         for v, epochs in enumerate(state.epochs):
             assert not epochs or epochs[0] > state.horizon[v], v
         # The scan bisects epochs[u]; it must track stored[u] exactly.
@@ -548,10 +590,10 @@ class _OrderLog(DetectorListener):
 
 
 def test_discard_work_bound(monkeypatch):
-    # A sync op calls column_min only when the syncing thread held a
-    # column's minimum and its value there rose, and tests list heads only
-    # when the horizon rose: each thread's head once, plus one test per
-    # dropped segment.
+    # column_min and vc_strictly_below run only in the full recompute of
+    # the horizon, once per thread that makes its last access; a sync op
+    # recomputes at most the columns it took the last holder from, and
+    # tests list heads there and at its own thread.
     below = _counting(monkeypatch, "vc_strictly_below")
     minima = _counting(monkeypatch, "column_min")
     prog = parse_program(generate_program(3, threads=16, ops_per_thread=200))
@@ -563,8 +605,10 @@ def test_discard_work_bound(monkeypatch):
         prog = parse_program(text)
         rec = record_execution(prog, seed)
         below[0] = minima[0] = 0
-        st = detect(prog, rec.trace, all_races=True).stats
-        assert below[0] <= prog.n_threads * minima[0] + st.segments_discarded
+        detect(prog, rec.trace, all_races=True)
+        leaving = sum(last >= 0 for last in prog.last_access)
+        assert below[0] == leaving
+        assert minima[0] <= below[0]
 
 
 def _oracle_racy_pairs(prog, trace):

@@ -1,7 +1,7 @@
 """Repository hygiene: git tracks no file that .gitignore marks as
 generated, no module imports a name it never reads, every function under
 ``src/`` is used somewhere, and every defaulted parameter of one is
-passed somewhere."""
+passed somewhere and left out somewhere."""
 
 import ast
 import shutil
@@ -191,9 +191,9 @@ def _defaulted_params(tree):
     return found
 
 
-def _passed(tree):
-    """name -> what calls by that name pass: (positional count, keyword
-    names), or None when some call passes ``*`` or ``**`` arguments."""
+def _calls(tree):
+    """name -> (positional count, keyword names) of each call by that
+    name, or None when some call passes ``*`` or ``**`` arguments."""
     calls = {}
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
@@ -207,33 +207,49 @@ def _passed(tree):
                 any(k.arg is None for k in node.keywords):
             calls[name] = None
             continue
-        count, names = calls.get(name, (0, frozenset()))
-        calls[name] = (max(count, len(node.args)),
-                       names | {k.arg for k in node.keywords})
+        calls.setdefault(name, []).append(
+            (len(node.args), frozenset(k.arg for k in node.keywords)))
     return calls
+
+
+def _defaults_by_use(sources, users):
+    """(source, line, function, parameter, calls) of each defaulted
+    parameter of a function in ``sources``. ``calls`` says, for each call
+    in ``sources`` or ``users`` by the function's name, whether it passes
+    the parameter, by keyword or by position; it is None when some call
+    goes through ``*`` or ``**``, which may pass anything. A call of a
+    class is a call of its ``__init__``."""
+    calls = {}
+    for tree in {**users, **sources}.values():
+        for name, found in _calls(tree).items():
+            old = calls.get(name, [])
+            calls[name] = None if found is None or old is None \
+                else old + found
+    out = []
+    for label, tree in sources.items():
+        for line, key, param, position in _defaulted_params(tree):
+            made = calls.get(key, [])
+            out.append((label, line, key, param, None if made is None else [
+                param in names or position is not None and position < count
+                for count, names in made]))
+    return out
 
 
 def _unpassed_defaults(sources, users) -> list:
     """(source, line, function, parameter) of each defaulted parameter of
-    a function in ``sources`` that no call in ``sources`` or ``users``
-    passes, by keyword or by position. Calls are matched by name; a call
-    through ``*`` or ``**`` passes everything, and a call of a class
-    passes to its ``__init__``."""
-    calls = {}
-    for tree in {**users, **sources}.values():
-        for name, passed in _passed(tree).items():
-            old = calls.get(name, (0, frozenset()))
-            calls[name] = None if passed is None or old is None else (
-                max(old[0], passed[0]), old[1] | passed[1])
-    unpassed = []
-    for label, tree in sources.items():
-        for line, key, param, position in _defaulted_params(tree):
-            passed = calls.get(key, (0, frozenset()))
-            if passed is None or param in passed[1] or \
-                    position is not None and position < passed[0]:
-                continue
-            unpassed.append((label, line, key, param))
-    return sorted(unpassed)
+    a function in ``sources`` that no call passes."""
+    return sorted((label, line, key, param) for label, line, key, param, passes
+                  in _defaults_by_use(sources, users)
+                  if passes is not None and not any(passes))
+
+
+def _unrelied_defaults(sources, users) -> list:
+    """(source, line, function, parameter) of each defaulted parameter of
+    a function in ``sources`` that every call passes, so that its default
+    never applies. A function no call names is left to the check above."""
+    return sorted((label, line, key, param) for label, line, key, param, passes
+                  in _defaults_by_use(sources, users)
+                  if passes and all(passes))
 
 
 def test_every_defaulted_parameter_under_src_is_passed():
@@ -258,3 +274,28 @@ def test_unpassed_default_check_counts_positions_stars_and_classes():
                      "h(**opts)\n")
     assert _unpassed_defaults({"m": source}, {"u": user}) == [
         ("m", 2, "A", "z"), ("m", 3, "m", "a"), ("m", 6, "f", "r")]
+
+
+def test_every_default_under_src_is_relied_on():
+    users = {**_parsed("tests"), **_parsed("perfbench")}
+    assert _unrelied_defaults(_parsed("src"), users) == []
+
+
+def test_unrelied_default_check_counts_positions_stars_and_classes():
+    source = ast.parse(
+        "class A:\n"
+        "    def __init__(self, x, y=1): pass\n"
+        "    def m(self, a=0, *, b=1): pass\n"
+        "def f(p, q=1): pass\n"
+        "def g(k=0): pass\n"
+        "def h(w=0): pass\n"
+        "def unseen(v=0): pass\n")
+    user = ast.parse("A(0, 5).m(1, b=2)\n"
+                     "A(1, y=2).m(b=3)\n"
+                     "f(1)\n"
+                     "f(1, 2)\n"
+                     "g(1)\n"
+                     "g(*args)\n"
+                     "h(w=1)\n")
+    assert _unrelied_defaults({"m": source}, {"u": user}) == [
+        ("m", 2, "A", "y"), ("m", 3, "m", "b"), ("m", 6, "h", "w")]
