@@ -69,6 +69,7 @@ counts under both horizons at every sync op.
 from __future__ import annotations
 
 import sys
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import compress, count
@@ -487,10 +488,11 @@ class LiveSegmentProbe(DetectorListener):
 
     The logical horizon is the syncing thread's own matrix minimum: what
     that thread could discard by its causally-propagated knowledge alone.
-    ``rows`` gets one ``(sync events seen, live under the snooped
-    discard, live under the logical discard)`` row at every sync op. The
-    snooped count is what the detector's own discard leaves live, read
-    from ``state.stats``, so the probe needs ``gc=True``.
+    ``rows`` holds one ``(sync events seen, live under the snooped
+    discard, live under the logical discard)`` row per sync op, kept as
+    three int arrays, since a tuple per op would outweigh the rest of the
+    probe. The snooped count is what the detector's own discard leaves
+    live, read from ``state.stats``, so the probe needs ``gc=True``.
 
     Both discards use the detector's epoch test: a segment of thread ``v``
     goes once its own component is at most the horizon's column ``v``. The
@@ -515,7 +517,11 @@ class LiveSegmentProbe(DetectorListener):
         n = program.n_threads
         self.matrix = MatrixClockTracker(n, program.n_objects)
         self.ghosts = [[] for _ in range(n)]
-        self.rows: list[tuple] = []
+        self._columns = (array("q"), array("q"), array("q"))
+
+    @property
+    def rows(self) -> list:
+        return list(zip(*self._columns))
 
     def on_close(self, state, seg):
         self.ghosts[seg.tid].append(seg.clock[seg.tid])
@@ -529,9 +535,10 @@ class LiveSegmentProbe(DetectorListener):
         for ghosts, bound in zip(self.ghosts, logical):
             del ghosts[:bisect_right(ghosts, bound)]
         stats = state.stats
-        self.rows.append((stats.sync_events,
-                          stats.segments_created - stats.segments_discarded,
-                          sum(map(len, self.ghosts))))
+        seen, snooped, logical = self._columns
+        seen.append(stats.sync_events)
+        snooped.append(stats.segments_created - stats.segments_discarded)
+        logical.append(sum(map(len, self.ghosts)))
 
 
 def detect(program: Program, trace: SyncTrace, *, all_races: bool = False,

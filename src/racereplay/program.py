@@ -215,10 +215,15 @@ def parse_program(text: str, name: str = "<program>") -> Program:
     ``mem <hex-addr> <value>``) followed by ``thread <id>:`` sections with
     one instruction per line. ``#`` starts a comment. Addresses are hex.
 
-    Bodies repeat lines often, so each distinct line is parsed once and
-    its Instruction shared by every occurrence. CREATE and JOIN lines are
-    parsed at each occurrence, since their checks depend on which thread
-    holds them and on the CREATEs before them.
+    Bodies repeat lines often, so one cache maps lines to Instructions
+    shared by every occurrence. A raw line not in the cache is stripped and
+    looked up again by its stripped text, which is parsed and cached on a
+    miss; on a hit the raw line is cached too. So a repeated raw line costs
+    one lookup, every spelling of an instruction shares one Instruction,
+    and a text of distinct instructions holds one entry per instruction.
+    CREATE and JOIN lines are never cached: they are parsed at each
+    occurrence, since their checks depend on which thread holds them and
+    on the CREATEs before them.
     """
     mutex_names: list[str] = []
     sem_decls: list[tuple[str, int]] = []
@@ -229,6 +234,8 @@ def parse_program(text: str, name: str = "<program>") -> Program:
 
     current_tid = None
     for index, raw in enumerate(lines):
+        if current_tid is not None and "thread" not in raw:
+            continue  # cannot be a header: a body line, parsed below
         line = raw.split("#", 1)[0].strip()
         if not line or (current_tid is not None and not line.startswith("thread")):
             continue  # blank, or a body line: parsed below
@@ -296,46 +303,53 @@ def parse_program(text: str, name: str = "<program>") -> Program:
     create_targets: dict[int, int] = {}  # tid -> line of its CREATE
     join_targets: set[int] = set()
     parsed: dict[int, list[Instruction]] = {tid: [] for tid in tids}
-    shared: dict[str, Instruction] = {}  # distinct line -> its Instruction
+    cache: dict[str, Instruction] = {}  # stripped or raw line -> Instruction
 
     last_access: list[int] = []
     for tid in tids:
         body = parsed[tid]
+        append = body.append
         seen_exit = False
-        last = -1
         for index in bodies[tid]:
-            line = lines[index].split("#", 1)[0].strip()
-            if not line:
-                continue
-            if seen_exit:
-                raise ParseError("instruction after EXIT", index + 1)
-            ins = shared.get(line)
+            raw = lines[index]
+            ins = cache.get(raw)
             if ins is None:
-                lineno = index + 1
-                ins = _parse_instruction(line, lineno, mutexes, semaphores, bodies)
-                op, target, _ = ins
-                if op is Op.CREATE:
-                    if target == MAIN_THREAD:
-                        raise ParseError("thread 0 cannot be created", lineno)
-                    if target == tid:
-                        raise ParseError("thread cannot create itself", lineno)
-                    if target in create_targets:
-                        raise ParseError(
-                            f"thread {target} created more than once "
-                            f"(first at line {create_targets[target]})", lineno)
-                    create_targets[target] = lineno
-                elif op is Op.JOIN:
-                    join_targets.add(target)
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if seen_exit:
+                    raise ParseError("instruction after EXIT", index + 1)
+                ins = cache.get(line)
+                if ins is not None:
+                    cache[raw] = ins
                 else:
-                    shared[line] = ins
-            op = ins[0]
-            if op in _ADDRESS_OPS:
-                last = len(body)
-            body.append(ins)
-            seen_exit = op is _EXIT
-        if not body or body[-1].op is not _EXIT:
+                    lineno = index + 1
+                    ins = _parse_instruction(line, lineno, mutexes, semaphores, bodies)
+                    op, target, _ = ins
+                    if op is Op.CREATE:
+                        if target == MAIN_THREAD:
+                            raise ParseError("thread 0 cannot be created", lineno)
+                        if target == tid:
+                            raise ParseError("thread cannot create itself", lineno)
+                        if target in create_targets:
+                            raise ParseError(
+                                f"thread {target} created more than once "
+                                f"(first at line {create_targets[target]})", lineno)
+                        create_targets[target] = lineno
+                    elif op is Op.JOIN:
+                        join_targets.add(target)
+                    else:
+                        cache[line] = ins
+            elif seen_exit:
+                raise ParseError("instruction after EXIT", index + 1)
+            append(ins)
+            seen_exit = ins[0] is _EXIT
+        if not seen_exit:
             raise ParseError(f"thread {tid} body must end with EXIT",
                              thread_lines[tid])
+        last = len(body) - 1
+        while last >= 0 and body[last][0] not in _ADDRESS_OPS:
+            last -= 1
         last_access.append(last)
 
     for tid in tids:

@@ -15,8 +15,8 @@ not a divergence.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from heapq import heapify, heappop, heapreplace
 from typing import Callable, Optional
 
 from .errors import DeadlockError, MismatchError
@@ -56,21 +56,25 @@ class _ReplayHooks(ExecutionHooks):
     so each parked thread is handed back at the first recheck that finds
     the frontier at its stamp.
 
-    ``frontier`` is kept, not searched for. An op is permitted only at the
-    frontier's stamp, and stays unexecuted until it steps, so every SYNC
-    event carries the frontier's stamp; when its count reaches 0, every
-    larger stamp is still unexecuted and the next entry of the sorted
-    stamps is the new frontier (None once every stamp has executed).
+    The gate keeps O(threads) state: a heap of the threads' next stamps,
+    their heads. This needs each thread's stamps to strictly increase, as
+    record writes them and the trace decoder demands; then a thread's head
+    is its smallest unexecuted stamp, and the frontier is the smallest
+    head, the heap's top (None once every stamp has executed). An op is
+    permitted only at the frontier's stamp, so a SYNC event executes a
+    head equal to the top, and the top is replaced by that thread's next
+    stamp, or popped when the thread has none.
     """
 
     def __init__(self, stamps, observer):
         self.stamps = stamps
         self.observer = observer
         self.done = [0] * len(stamps)  # sync ops executed per thread
+        self.total = sum(map(len, stamps))
+        self.heads = [per_thread[0] for per_thread in stamps if per_thread]
+        heapify(self.heads)
+        self.frontier = self.heads[0] if self.heads else None
         self.over_budget: set[int] = set()
-        self.remaining = Counter(ts for per_thread in stamps for ts in per_thread)
-        self._ahead = iter(sorted(self.remaining))
-        self.frontier = next(self._ahead, None)
         self.parked: dict[int, int] = {}  # stamp -> threads refused at it
 
     def permits(self, machine: Machine, tid: int) -> bool:
@@ -90,17 +94,20 @@ class _ReplayHooks(ExecutionHooks):
 
     def on_event(self, machine: Machine, event: Event):
         if event.kind is _SYNC_EVENT:
-            ts = self.stamps[event.tid][self.done[event.tid]]
-            self.done[event.tid] += 1
-            self.remaining[ts] -= 1
-            if not self.remaining[ts]:
-                self.frontier = next(self._ahead, None)
+            stamps = self.stamps[event.tid]
+            k = self.done[event.tid] = self.done[event.tid] + 1
+            heads = self.heads
+            if k < len(stamps):
+                heapreplace(heads, stamps[k])
+            else:
+                heappop(heads)
+            self.frontier = heads[0] if heads else None
         if self.observer is not None:
             return self.observer(machine, event)
         return None
 
     def unexecuted(self) -> int:
-        return self.remaining.total()
+        return self.total - sum(self.done)
 
 
 def replay_execution(program: Program, trace: SyncTrace,

@@ -1,9 +1,12 @@
 """Program parsing and validation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from racereplay import workloads
 from racereplay.errors import ParseError
+from racereplay.generator import generate_program
 from racereplay.program import Op, parse_program
 
 
@@ -151,6 +154,35 @@ def test_canonical_text_stable_under_formatting():
     assert a.digest() == b.digest()
 
 
+INDENTS = ("", " ", "    ", "\t", " \t ")
+TRAILERS = ("", " ", "\t", "  # note", "\t# thread 1:", " #")
+FILLERS = ("", "   ", "# comment", "\t# thread 9: reads 0x10")
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10_000), threads=st.integers(1, 6),
+       ops=st.integers(4, 30), lock_density=st.sampled_from((0.0, 0.5, 1.0)),
+       rnd=st.randoms(use_true_random=False), crlf=st.booleans())
+def test_formatting_does_not_change_the_program(seed, threads, ops,
+                                                lock_density, rnd, crlf):
+    # Indentation, trailing comments, blank and comment-only lines and CRLF
+    # endings change raw lines but not the program they spell. Repeated
+    # lines get new spellings, so cached and freshly parsed lines mix.
+    text = generate_program(seed, threads=threads, ops_per_thread=ops,
+                            lock_density=lock_density)
+    lines = []
+    for line in text.splitlines():
+        if rnd.random() < 0.2:
+            lines.append(rnd.choice(FILLERS))
+        lines.append(rnd.choice(INDENTS) + line.strip() + rnd.choice(TRAILERS))
+    reformatted = ("\r\n" if crlf else "\n").join(lines)
+    a, b = parse_program(text), parse_program(reformatted)
+    assert b.canonical_text() == a.canonical_text()
+    assert b.digest() == a.digest()
+    assert b.last_access == a.last_access
+    assert b.static_sync_counts() == a.static_sync_counts()
+
+
 def test_canonical_text_pinned_byte_for_byte():
     # Every op, two mutexes declared out of order, a semaphore's initial
     # count and a mem line; constants are stored as 32-bit words.
@@ -192,3 +224,61 @@ def test_canonical_text_reparses_to_same_digest():
     prog = parse_program(workloads.ping_pong(3))
     again = parse_program(prog.canonical_text())
     assert again.digest() == prog.digest()
+
+
+# Malformed programs, each with the message and line the parser gives.
+# Which error is reported first is part of the contract: the header pass
+# runs before any body, bodies are parsed in thread-id order, and a line
+# already seen elsewhere is checked like any other.
+PINNED_ERRORS = [
+    # A line cached before EXIT, repeated after it with other spacing.
+    ("thread 0:\n  SET r0 1\n  EXIT\n\tSET  r0   1\n",
+     "instruction after EXIT", 4),
+    # A raw line's third occurrence is a cache hit, still refused after EXIT.
+    ("thread 0:\n  SET r0 1\n  SET r0 1\n  EXIT\n  SET r0 1\n",
+     "instruction after EXIT", 5),
+    ("thread 0:\n  CREATE 1\n  JOIN 1\n  EXIT\nthread 1:\n  EXIT\n  EXIT\n",
+     "instruction after EXIT", 7),
+    # The same JOIN line in two bodies; thread 0's copy is parsed first.
+    ("thread 1:\n  JOIN 7\n  EXIT\n"
+     "thread 0:\n  CREATE 1\n  JOIN 7\n  EXIT\n",
+     "undeclared thread 7", 6),
+    ("thread 0:\n  CREATE 1\n  JOIN 1\n  JOIN 1\n  JOIN 2\n  EXIT\n"
+     "thread 1:\n  EXIT\n",
+     "undeclared thread 2", 5),
+    ("thread 0:\n  CREATE 1\n\tCREATE   1  # again\n  JOIN 1\n  EXIT\n"
+     "thread 1:\n  EXIT\n",
+     "thread 1 created more than once (first at line 2)", 3),
+    ("thread 0:\r\n  CREATE 1\r\n  CREATE 1\r\n  EXIT\r\n"
+     "thread 1:\r\n  EXIT\r\n",
+     "thread 1 created more than once (first at line 2)", 3),
+    # Body lines that mention 'thread' but are no header.
+    ("thread 0:\n  LOAD r0 0x10  # thread 2 reads this\n"
+     "  LOAD r0 0x10  # thread 2 reads this\n  BOGUS r0\n  EXIT\n",
+     "unknown instruction 'BOGUS'", 4),
+    ("thread 0:\n  SET r0 1\n  threadx 1\n  EXIT\n",
+     "unknown instruction 'threadx'", 3),
+    ("thread 0:\n  SET r0 1\n  thread 1\n  EXIT\n",
+     "expected 'thread <id>:'", 3),
+    ("thread 0:\n  SET r0 1\n  SET r0 1\n  SET r16 1\n  EXIT\n",
+     "undeclared register 'r16' (registers are r0..r15)", 4),
+    # Two errors in one file: the one pinned is the one reported.
+    ("thread 0:\n  BOGUS r0\n  EXIT\nthread x:\n  EXIT\n",
+     "bad thread id 'x'", 4),
+    ("thread 1:\n  BOGUS r0\n  EXIT\n"
+     "thread 0:\n  CREATE 1\n  LOCK m\n  EXIT\n",
+     "undeclared sync object 'm'", 6),
+    ("thread 0:\n  EXIT\n  SET r99 1\n", "instruction after EXIT", 3),
+    ("thread 0:\n  CREATE 1\n  SET r0 1\nthread 1:\n  BOGUS\n",
+     "thread 0 body must end with EXIT", 1),
+    ("thread 0:\n  EXIT\nthread 1:\n  EXIT\nthread 2:\n  EXIT\n",
+     "thread 1 is declared but never created", 3),
+]
+
+
+@pytest.mark.parametrize("text, message, line", PINNED_ERRORS)
+def test_pinned_parse_errors(text, message, line):
+    with pytest.raises(ParseError) as err:
+        parse_program(text)
+    assert str(err.value) == f"line {line}: {message}"
+    assert err.value.line == line

@@ -1,5 +1,7 @@
 """Replay: fidelity for race-free programs, divergence signalling."""
 
+import tracemalloc
+
 import pytest
 
 from _helpers import CountingHooks, per_object_sync_sequences, replay_events
@@ -184,3 +186,21 @@ def test_recheck_hands_back_only_threads_at_the_frontier(monkeypatch):
             if result.verdict == OK:
                 assert gates[0].parked == {}
     assert handed > 0
+
+
+def test_gate_state_is_bounded_by_threads():
+    # The gate keeps a heap of one head per thread, not a table over the
+    # recorded stamps, so building it for a long two-thread trace holds a
+    # few hundred bytes. A table per stamp would hold over a MiB here.
+    prog = parse_program(workloads.ping_pong(20000))
+    stamps = record_execution(prog, 1).trace.stamps
+    assert sum(map(len, stamps)) == 80004
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        gate = _ReplayHooks(stamps, None)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert gate.unexecuted() == 80004
+    assert held < 16 * 1024, held

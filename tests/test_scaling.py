@@ -7,6 +7,8 @@ to pass.
 
 import pytest
 
+import racereplay.program as program_mod
+from racereplay import workloads
 from racereplay.detector import CLEAN, detect
 from racereplay.generator import generate_program
 from racereplay.program import parse_program
@@ -46,3 +48,23 @@ def test_live_segments_grow_at_most_linearly_in_threads(seed):
     peaks = {n: _peak_live(seed, 6400 // n, threads=n)[0] for n in THREADS}
     rate = peaks[4] / 4
     assert all(peaks[n] <= 2 * rate * n for n in THREADS), peaks
+
+
+def test_parse_work_stays_flat_in_repeated_lines(monkeypatch):
+    # A ping-pong body repeats a dozen lines for every turn, and each
+    # distinct line is parsed once, so the parses do not grow with turns.
+    calls = 0
+    parse_instruction = program_mod._parse_instruction
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return parse_instruction(*args)
+
+    monkeypatch.setattr(program_mod, "_parse_instruction", counted)
+    parses = {}
+    for turns in (500, 1000, 2000, 4000):
+        calls = 0
+        parse_program(workloads.ping_pong(turns))
+        parses[turns] = calls
+    assert len(set(parses.values())) == 1, parses
