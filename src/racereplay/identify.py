@@ -5,9 +5,9 @@ the conflicting address but not the instructions. This phase replays the
 same trace with the same tie-breaking seed (replays are deterministic, so
 the prefix up to the race repeats exactly), runs without any per-access
 bookkeeping outside the two reported segments, and inside them records
-every access to a witness address. The answer is, on the smallest witness
-address, the first access in each segment's own program order whose access
-type matches the type in the report.
+every access to the smallest witness address, the report's ``witness``.
+The answer is the first recorded access in each segment's own program
+order whose access type matches the type in the report.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class _Collector:
     def __init__(self, report: RaceReport):
         self.targets = {(report.side1.tid, report.side1.segment): [],
                         (report.side2.tid, report.side2.segment): []}
-        self.witnesses = set(report.witnesses)
+        self.witness = report.witness
         self.counts: dict[int, int] = {}
         self.open: dict[int, bool] = {}
         self.closed_targets = 0
@@ -56,9 +56,9 @@ class _Collector:
             return False
         self.open[tid] = True
         key = (tid, self.counts.get(tid, 0))
-        if key in self.targets and event.addr in self.witnesses:
+        if key in self.targets and event.addr == self.witness:
             kind = "store" if event.kind is _STORE_EVENT else "load"
-            self.targets[key].append((event.ordinal, kind, event.addr))
+            self.targets[key].append((event.ordinal, kind))
         return False
 
 
@@ -75,12 +75,11 @@ def identify(program: Program, trace: SyncTrace, report: RaceReport,
     if collector.closed_targets < len(collector.targets) and result.verdict == DIVERGED:
         raise IdentifyError(f"replay diverged before the reported segments "
                             f"({result.detail})")
-    w = min(report.witnesses)
+    w = report.witness
     sites = []
     for side in (report.side1, report.side2):
         accesses = collector.targets.get((side.tid, side.segment), [])
-        match = next(((o, k) for o, k, a in accesses if a == w and k == side.kind),
-                     None)
+        match = next(((o, k) for o, k in accesses if k == side.kind), None)
         if match is None:
             raise IdentifyError(
                 f"no {side.kind} of 0x{w:08X} found in thread {side.tid} "

@@ -67,7 +67,6 @@ class Program:
     exit_obj: dict  # tid -> object id of the exit handshake (join targets only)
     join_targets: frozenset
     last_access: tuple  # tid -> index of its last LOAD or STORE, or -1
-    source_name: str = "<program>"
 
     @property
     def n_threads(self) -> int:
@@ -208,7 +207,7 @@ def _parse_instruction(line: str, lineno: int, mutexes: dict,
     return Instruction(op)
 
 
-def parse_program(text: str, name: str = "<program>") -> Program:
+def parse_program(text: str) -> Program:
     """Parse program source into a validated Program.
 
     Format: header lines (``mutex <name>``, ``sem <name> <initial>``,
@@ -370,7 +369,6 @@ def parse_program(text: str, name: str = "<program>") -> Program:
         exit_obj=exit_obj,
         join_targets=frozenset(join_targets),
         last_access=tuple(last_access),
-        source_name=name,
     )
 
 
@@ -385,4 +383,4 @@ def read_utf8(path: str) -> str:
 
 
 def load_program(path: str) -> Program:
-    return parse_program(read_utf8(path), name=path)
+    return parse_program(read_utf8(path))

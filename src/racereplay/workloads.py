@@ -62,21 +62,14 @@ def ping_pong(iterations: int, slack: int = 1) -> str:
         raise ValueError("slack must be positive")
     base = 0x00002000
 
-    def turns(me: str, other: str, addr: int) -> list:
-        out = []
-        for _ in range(iterations):
-            out += [f"SEM_WAIT {me}", f"LOAD r0 0x{addr:08X}", "ADDI r0 1",
-                    f"STORE r0 0x{addr:08X}", f"SEM_POST {other}"]
-        return out
+    def turns(me: str, other: str, addr: int) -> str:
+        return (f"  SEM_WAIT {me}\n  LOAD r0 0x{addr:08X}\n  ADDI r0 1\n"
+                f"  STORE r0 0x{addr:08X}\n  SEM_POST {other}\n") * iterations
 
-    lines = [f"sem a {slack}", "sem b 0",
-             f"mem 0x{base:08X} 0", f"mem 0x{base + 0x100:08X} 0",
-             "thread 0:", "  CREATE 1"]
-    lines += [f"  {ins}" for ins in turns("a", "b", base)]
-    lines += ["  JOIN 1", "  EXIT", "thread 1:"]
-    lines += [f"  {ins}" for ins in turns("b", "a", base + 0x100)]
-    lines += ["  EXIT"]
-    return "\n".join(lines) + "\n"
+    return (f"sem a {slack}\nsem b 0\n"
+            f"mem 0x{base:08X} 0\nmem 0x{base + 0x100:08X} 0\n"
+            f"thread 0:\n  CREATE 1\n{turns('a', 'b', base)}  JOIN 1\n  EXIT\n"
+            f"thread 1:\n{turns('b', 'a', base + 0x100)}  EXIT\n")
 
 
 def contended_counter(threads: int, iterations: int) -> str:
@@ -85,41 +78,24 @@ def contended_counter(threads: int, iterations: int) -> str:
     if threads < 2:
         raise ValueError("need at least two threads")
     addr = 0x00003000
-
-    def body(tid: int) -> list:
-        out = []
-        for _ in range(iterations):
-            out += ["LOCK m", f"LOAD r0 0x{addr:08X}", "ADDI r0 1",
-                    f"STORE r0 0x{addr:08X}", "UNLOCK m"]
-        return out
-
-    lines = ["mutex m", f"mem 0x{addr:08X} 0", "thread 0:"]
-    lines += [f"  CREATE {tid}" for tid in range(1, threads)]
-    lines += [f"  {ins}" for ins in body(0)]
-    lines += [f"  JOIN {tid}" for tid in range(1, threads)]
-    lines += ["  EXIT"]
-    for tid in range(1, threads):
-        lines.append(f"thread {tid}:")
-        lines += [f"  {ins}" for ins in body(tid)]
-        lines.append("  EXIT")
-    return "\n".join(lines) + "\n"
+    body = (f"  LOCK m\n  LOAD r0 0x{addr:08X}\n  ADDI r0 1\n"
+            f"  STORE r0 0x{addr:08X}\n  UNLOCK m\n") * iterations
+    workers = range(1, threads)
+    return (f"mutex m\nmem 0x{addr:08X} 0\nthread 0:\n"
+            + "".join(f"  CREATE {tid}\n" for tid in workers) + body
+            + "".join(f"  JOIN {tid}\n" for tid in workers) + "  EXIT\n"
+            + "".join(f"thread {tid}:\n{body}  EXIT\n" for tid in workers))
 
 
 def producer_consumer(iterations: int, capacity: int) -> str:
     """Bounded handoff: a worker produces into a small ring of addresses,
     main consumes. Backpressure keeps the producer at most ``capacity``
     items ahead, so live segment counts stay bounded."""
-    slots = [0x00004000 + 4 * i for i in range(capacity)]
-    produce = []
-    consume = []
-    for i in range(iterations):
-        addr = slots[i % capacity]
-        produce += ["SEM_WAIT slots", f"SET r0 {i % 97}",
-                    f"STORE r0 0x{addr:08X}", "SEM_POST items"]
-        consume += ["SEM_WAIT items", f"LOAD r1 0x{addr:08X}", "SEM_POST slots"]
-    lines = [f"sem slots {capacity}", "sem items 0", "thread 0:", "  CREATE 1"]
-    lines += [f"  {ins}" for ins in consume]
-    lines += ["  JOIN 1", "  EXIT", "thread 1:"]
-    lines += [f"  {ins}" for ins in produce]
-    lines += ["  EXIT"]
-    return "\n".join(lines) + "\n"
+    slots = [f"0x{0x00004000 + 4 * i:08X}" for i in range(capacity)]
+    consume = "".join(f"  SEM_WAIT items\n  LOAD r1 {slots[i % capacity]}\n"
+                      f"  SEM_POST slots\n" for i in range(iterations))
+    produce = "".join(f"  SEM_WAIT slots\n  SET r0 {i % 97}\n"
+                      f"  STORE r0 {slots[i % capacity]}\n  SEM_POST items\n"
+                      for i in range(iterations))
+    return (f"sem slots {capacity}\nsem items 0\nthread 0:\n  CREATE 1\n"
+            f"{consume}  JOIN 1\n  EXIT\nthread 1:\n{produce}  EXIT\n")

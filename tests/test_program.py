@@ -1,5 +1,7 @@
 """Program parsing and validation."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -212,6 +214,36 @@ def test_canonical_text_pinned_byte_for_byte():
         "  LOCK a\n"
         "  UNLOCK a\n"
         "  EXIT\n")
+
+
+# The builders' raw text, spacing included; the golden digests hash
+# canonical text, which does not see it.
+BUILDER_TEXT_SHA256 = [
+    ("ping_pong", (5000,), {"slack": 2},
+     "a3aa9b18fe8d138160061689ab9423b4cda19635c7c3df048cd8e8902eea39fd"),
+    ("ping_pong", (0,), {},
+     "fcf67a00c4adfbb24771557fbccd23465649173bccca7eac52016df9f75ca939"),
+    ("ping_pong", (10,), {"slack": 3},
+     "b4a0fb2f162b2bb684d3a61c94f29ab930c9db3bbb4c2a49d69b4ebb151f2138"),
+    ("contended_counter", (8, 20), {},
+     "91f4f2a808615186e22612759817eae7d9fbb9e0408b57cbe1b17e1a089028c9"),
+    ("contended_counter", (2, 0), {},
+     "8b458bf6a0b624763703ab504fafdec96537e8f819cecc556adc3ef809ad1822"),
+    ("producer_consumer", (30, 3), {},
+     "cc0881670327b44234d42bb09b355ee9079b3188a6784db1aaef2a5075b8700a"),
+    ("producer_consumer", (8, 2), {},
+     "5f4d49476acef0191b30ebe061f2477d9117cecc02b5e8e75a77d55b6cd6e9b4"),
+    ("shared_counter", (), {},
+     "ae06d02c00129e304a114153c07b46b22066ef07c47bcc533302933880681959"),
+    ("shared_counter", (), {"locked": True},
+     "5d870f909101c7df9342af4d5c36ab2a5b6ed8294e9a05b968cf4fbc9ebcd162"),
+]
+
+
+@pytest.mark.parametrize("builder, args, kwargs, sha256", BUILDER_TEXT_SHA256)
+def test_builder_text_pinned_byte_for_byte(builder, args, kwargs, sha256):
+    text = getattr(workloads, builder)(*args, **kwargs)
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256
 
 
 def test_digest_differs_between_programs():

@@ -1,7 +1,8 @@
 """Repository hygiene: git tracks no file that .gitignore marks as
 generated, no module imports a name it never reads, every function under
-``src/`` is used somewhere, and every defaulted parameter of one is
-passed somewhere and left out somewhere."""
+``src/`` is used somewhere, every defaulted parameter of one is passed
+somewhere and left out somewhere, and every dataclass field under
+``src/`` is read somewhere."""
 
 import ast
 import shutil
@@ -299,3 +300,64 @@ def test_unrelied_default_check_counts_positions_stars_and_classes():
                      "h(w=1)\n")
     assert _unrelied_defaults({"m": source}, {"u": user}) == [
         ("m", 2, "A", "y"), ("m", 3, "m", "b"), ("m", 6, "h", "w")]
+
+
+def _dataclass_fields(tree):
+    """(line, class, field) of each field of a ``@dataclass`` class in the
+    module. A NamedTuple is not a dataclass: it is read by unpacking."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d
+                      for d in node.decorator_list]
+        if not any((d.id if isinstance(d, ast.Name) else
+                    d.attr if isinstance(d, ast.Attribute) else None)
+                   == "dataclass" for d in decorators):
+            continue
+        found += [(item.lineno, node.name, item.target.id)
+                  for item in node.body
+                  if isinstance(item, ast.AnnAssign)
+                  and isinstance(item.target, ast.Name)]
+    return found
+
+
+def _unread_fields(sources, users) -> list:
+    """(source, line, class, field) of each dataclass field in ``sources``
+    whose name no module of ``sources`` or ``users`` loads as an
+    attribute."""
+    read = {node.attr for tree in {**users, **sources}.values()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    return sorted((label, line, cls, name)
+                  for label, tree in sources.items()
+                  for line, cls, name in _dataclass_fields(tree)
+                  if name not in read)
+
+
+def test_every_dataclass_field_under_src_is_read():
+    users = {**_parsed("tests"), **_parsed("perfbench")}
+    assert _unread_fields(_parsed("src"), users) == []
+
+
+def test_unread_field_check_counts_loads_of_dataclass_fields_only():
+    source = ast.parse(
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class A:\n"
+        "    read: int\n"
+        "    stored: int\n"
+        "    named: str = 'x'\n"
+        "@dataclasses.dataclass\n"
+        "class B:\n"
+        "    unread: int\n"
+        "class C(NamedTuple):\n"
+        "    unpacked: int\n")
+    user = ast.parse("a = A(1, 2)\n"
+                     "a.stored = a.read\n"
+                     "print(getattr(a, 'named'))\n"
+                     "x, = C(3)\n")
+    assert _unread_fields({"m": source}, {"u": user}) == [
+        ("m", 6, "A", "stored"), ("m", 7, "A", "named"), ("m", 10, "B", "unread")]
