@@ -3,38 +3,45 @@
 Scheduling draws one value per step from a splitmix64 sequence and picks
 uniformly (value mod k) among the k runnable threads in ascending thread-id
 order, so identical (program, seed, hooks) triples produce bit-identical
-event streams. A thread is runnable when it has been started, has not
-exited, its next operation can complete now (mutex free, semaphore
-positive, join target exited) and the hooks do not veto it.
+event streams. A thread is runnable when it has been created, has not
+exited, its next operation can complete now and the hooks do not veto it.
 
-Thread start is an explicit synchronisation step: the first time a created
-thread is scheduled it performs a START handshake on its creation object
-before executing instruction 0. EXIT performs the matching handshake on
-the thread's exit object, but only for threads some JOIN targets;
-untargeted exits (typically main's) emit no event.
+Thread start is an explicit synchronisation step. The machine runs each
+body with a private START pseudo-op appended after its EXIT, and a
+created thread begins at pc -1, so its first step is a START handshake
+on its creation object, an event with ordinal -1, before instruction 0.
+EXIT performs the matching handshake on the thread's exit object, but
+only for threads some JOIN targets; untargeted exits (typically main's)
+emit no event.
+
+Every sync object is a counter in ``count``, indexed by object id: a
+mutex is 1 while free and 0 while held, a semaphore holds its count, and
+a thread's exit object is 0 until the thread exits and 1 after. A wait
+op (LOCK, SEM_WAIT, JOIN) can complete exactly when its object's count is
+positive. LOCK and SEM_WAIT take one from the count; JOIN takes nothing,
+so every joiner passes once its target has exited. UNLOCK and SEM_POST
+add one, and a joined thread's EXIT sets its exit object to 1.
+``mutex_owner`` serves only UNLOCK's check that the thread holds the
+mutex and the holder named in a deadlock report.
 
 Runnable state is kept as thread-id bitmasks (Python ints, bit t for
 thread t) and changed only by gate steps (a START, a sync op or an EXIT)
-and by a plain step that brings its thread to a gate op.
-Every thread whose next op waits on an object (LOCK on a mutex, SEM_WAIT
-on a semaphore, JOIN on a thread's exit object) is filed in that object's
-waiter mask, and ``blocked`` holds the waiters of objects that cannot be
-taken now. A gate step is one mask operation on its object's waiters:
-LOCK blocks them all, UNLOCK frees them, a semaphore count going from 1
-to 0 blocks them and from 0 to 1 frees them, and a joined thread's EXIT
-frees its joiners. A step thus costs O(1) mask operations plus one hooks
-call per thread it releases. The draw indexes ``ids``, the set bits of
-the runnable mask in ascending order, built again in O(k) only when the
-mask changes, so a step between plain ops draws in O(1). Three arguments
-make the runnable mask the set a full recomputation would give at every
-step:
+and by a plain step that brings its thread to a gate op. Every thread
+whose next op is a wait op is filed in its object's waiter mask, and
+``blocked`` holds the waiters of objects whose count is 0. A gate step
+is one mask operation on its object's waiters: a count going from 1 to 0
+blocks them all and one going from 0 to 1 frees them. A step thus costs
+O(1) mask operations plus one hooks call per thread it releases. The
+draw indexes ``ids``, the set bits of the runnable mask in ascending
+order, built again in O(k) only when the mask changes, so a step between
+plain ops draws in O(1). Three arguments make the runnable mask the set
+a full recomputation would give at every step:
 
 * A whole group of waiters changes state at once. Whether a waiter can
-  take its object depends only on the object (owner, count, target's
-  status), never on the waiter, so all of an object's waiters block and
-  unblock together, and only a gate step on that object changes them. A
-  plain step (LOAD, STORE, ADDI, SET) never blocks and changes no state
-  that blocking reads.
+  take its object depends only on the object's count, never on the
+  waiter, so all of an object's waiters block and unblock together, and
+  only a gate step on that object changes them. A plain step (LOAD,
+  STORE, ADDI, SET) never blocks and changes no count.
 * The hooks are asked only about gate ops that emit a SYNC event (a
   START, a sync op, a joined thread's EXIT), first at the first point the
   thread can run there: when it reaches the op with its object free, or
@@ -115,6 +122,11 @@ RELEASE_KINDS = frozenset((SyncKind.UNLOCK, SyncKind.SEM_POST, SyncKind.CREATE, 
 
 # Ops that never block and change no state another thread's runnability reads.
 _PLAIN_OPS = frozenset((Op.LOAD, Op.STORE, Op.ADDI, Op.SET))
+# Ops that can complete only while their object's count is positive.
+_WAIT_OPS = frozenset((Op.LOCK, Op.SEM_WAIT, Op.JOIN))
+
+# The START pseudo-op appended to each body: distinct from every Op.
+_START = "START"
 
 _OP_SYNC = {
     Op.LOCK: SyncKind.LOCK,
@@ -123,6 +135,8 @@ _OP_SYNC = {
     Op.SEM_POST: SyncKind.SEM_POST,
     Op.CREATE: SyncKind.CREATE,
     Op.JOIN: SyncKind.JOIN,
+    Op.EXIT: SyncKind.EXIT,
+    _START: SyncKind.START,
 }
 
 # Enum members read once or more per step, bound as module globals: reading
@@ -131,7 +145,6 @@ _LOAD, _STORE, _ADDI, _SET = Op.LOAD, Op.STORE, Op.ADDI, Op.SET
 _LOCK, _UNLOCK, _SEM_WAIT, _SEM_POST = Op.LOCK, Op.UNLOCK, Op.SEM_WAIT, Op.SEM_POST
 _CREATE, _JOIN, _EXIT = Op.CREATE, Op.JOIN, Op.EXIT
 _LOAD_EVENT, _STORE_EVENT, _SYNC_EVENT = EventKind.LOAD, EventKind.STORE, EventKind.SYNC
-_START_SYNC, _EXIT_SYNC = SyncKind.START, SyncKind.EXIT
 
 
 class Event(NamedTuple):
@@ -196,7 +209,7 @@ class _Status(IntEnum):
     EXITED = 2
 
 
-_READY, _EXITED = _Status.READY, _Status.EXITED
+_NEW, _READY, _EXITED = _Status.NEW, _Status.READY, _Status.EXITED
 
 
 class Machine:
@@ -208,19 +221,27 @@ class Machine:
         self.hooks = hooks
         self._rng = seed
         n = program.n_threads
-        self.status = [_Status.NEW] * n
+        # Each body with its START appended, so a created thread's pc -1
+        # reads its START; see the module docstring.
+        self.code = [body + ((_START, program.create_obj.get(tid, -1), 0),)
+                     for tid, body in enumerate(program.threads)]
+        self.status = [_NEW] * n
         self.status[MAIN_THREAD] = _READY
-        self.needs_start = [False] * n
-        self.pc = [0] * n
+        self.pc = [-1] * n
+        self.pc[MAIN_THREAD] = 0
         self.regs = [[0] * NUM_REGISTERS for _ in range(n)]
         self.memory = dict(program.initial_memory)
-        self.mutex_owner = {oid: None for oid in program.mutexes.values()}
-        self.sem_count = dict(program.sem_initials())
+        self.count = [0] * program.n_objects  # object id -> counter
+        for oid in program.mutexes.values():
+            self.count[oid] = 1
+        for oid, init in program.semaphores.values():
+            self.count[oid] = init
+        self.mutex_owner = dict.fromkeys(program.mutexes.values())
         self.events: list[Event] = []  # filled only in a run without hooks
         self.steps = 0
         # Thread-id bitmasks; see the module docstring.
-        self.waiters: dict[int, int] = {}  # object id -> threads waiting on it
-        self.blocked = 0    # waiting on an object that cannot be taken now
+        self.waiters = [0] * program.n_objects  # object id -> threads waiting on it
+        self.blocked = 0    # waiting on an object whose count is 0
         self.permitted = 0  # at a plain op, or the hooks allowed the current op
         self.vetoed = 0     # the hooks refused the current op
 
@@ -244,30 +265,23 @@ class Machine:
         """Enter the thread's next op: file it under its object, ask the hooks."""
         bit = 1 << tid
         self.permitted &= ~bit
-        if not self.needs_start[tid]:
-            prog = self.program
-            op, a, _ = prog.threads[tid][self.pc[tid]]
-            if op is _LOCK:
-                obj, free = a, self.mutex_owner[a] is None
-            elif op is _SEM_WAIT:
-                obj, free = a, self.sem_count[a] > 0
-            elif op is _JOIN:
-                obj, free = prog.exit_obj[a], self.status[a] is _EXITED
-            elif op in _PLAIN_OPS or op is _EXIT and tid not in prog.join_targets:
-                self.permitted |= bit
+        prog = self.program
+        op, obj, _ = self.code[tid][self.pc[tid]]
+        if op in _PLAIN_OPS or op is _EXIT and tid not in prog.exit_obj:
+            self.permitted |= bit
+            return
+        if op in _WAIT_OPS:
+            if op is _JOIN:
+                obj = prog.exit_obj[obj]
+            self.waiters[obj] |= bit
+            if not self.count[obj]:
+                self.blocked |= bit
                 return
-            else:
-                obj = None
-            if obj is not None:
-                self.waiters[obj] = self.waiters.get(obj, 0) | bit
-                if not free:
-                    self.blocked |= bit
-                    return
         self._ask(bit)
 
     def _release(self, obj: int) -> int:
         """Unblock the object's waiters; returns those not yet asked."""
-        freed = self.waiters.get(obj, 0)
+        freed = self.waiters[obj]
         self.blocked &= ~freed
         return freed & ~self.permitted & ~self.vetoed
 
@@ -284,46 +298,33 @@ class Machine:
             self._ask(ask)
         # The thread just ran, so it is permitted: a plain next op keeps it so.
         if self.status[tid] is not _EXITED and \
-                self.program.threads[tid][self.pc[tid]][0] not in _PLAIN_OPS:
+                self.code[tid][self.pc[tid]][0] not in _PLAIN_OPS:
             self._arrive(tid)
 
     def _block_reason(self, tid: int):
         """None if the thread's next op can complete now, else a reason string."""
-        if self.needs_start[tid]:
+        op, a, _ = self.code[tid][self.pc[tid]]
+        obj = self.program.exit_obj[a] if op is _JOIN else a
+        if op not in _WAIT_OPS or self.count[obj]:
             return None
-        ins = self.program.threads[tid][self.pc[tid]]
-        if ins.op is Op.LOCK:
-            owner = self.mutex_owner[ins.a]
-            if owner is not None:
-                who = "itself" if owner == tid else f"thread {owner}"
-                return f"waiting for {self.program.obj_names[ins.a]} held by {who}"
-        elif ins.op is Op.SEM_WAIT:
-            if self.sem_count[ins.a] <= 0:
-                return f"waiting on {self.program.obj_names[ins.a]} (count 0)"
-        elif ins.op is Op.JOIN:
-            if self.status[ins.a] is not _Status.EXITED:
-                return f"joining thread {ins.a} (not exited)"
-        return None
+        if op is _JOIN:
+            return f"joining thread {a} (not exited)"
+        name = self.program.obj_names[a]
+        if op is _SEM_WAIT:
+            return f"waiting on {name} (count 0)"
+        owner = self.mutex_owner[a]
+        return f"waiting for {name} held by " + (
+            "itself" if owner == tid else f"thread {owner}")
 
     def _blocked_report(self):
-        blocked = []
-        for tid in range(self.program.n_threads):
-            if self.status[tid] is _Status.EXITED:
-                continue
-            if self.status[tid] is _Status.NEW:
-                blocked.append((tid, "never created"))
-                continue
-            reason = self._block_reason(tid)
-            if reason is None:
-                blocked.append((tid, "stalled by scheduler hook"))
-            else:
-                blocked.append((tid, reason))
-        return blocked
+        return [(tid, "never created" if status is _NEW
+                 else self._block_reason(tid) or "stalled by scheduler hook")
+                for tid, status in enumerate(self.status) if status is not _EXITED]
 
     # -- execution -----------------------------------------------------------
 
     def _step(self, tid: int, ins, seq: int):
-        """Execute one gate step: START (``ins`` None), a sync op or EXIT.
+        """Execute one gate step: START, a sync op or EXIT.
 
         Plain steps run inline in ``run``. Applies the op's state change
         and its change to the waiter masks. Returns the step's SYNC event,
@@ -331,50 +332,43 @@ class Machine:
         threads the step frees that the hooks have not been asked about.
         """
         prog = self.program
-        if ins is None:
-            self.needs_start[tid] = False
-            return _new_tuple(Event, (seq, tid, _SYNC_EVENT, -1, -1,
-                                      prog.create_obj[tid], _START_SYNC)), 0
         op, obj, _ = ins
         bit = 1 << tid
-        waiters = self.waiters
+        count, waiters = self.count, self.waiters
         ordinal = self.pc[tid]
         ask = 0
-        if op is _LOCK:
-            self.mutex_owner[obj] = tid
+        if op is _LOCK or op is _SEM_WAIT:
+            if op is _LOCK:
+                self.mutex_owner[obj] = tid
+            count[obj] -= 1
             waiters[obj] &= ~bit
-            self.blocked |= waiters[obj]
-        elif op is _UNLOCK:
-            if self.mutex_owner[obj] != tid:
-                raise MachineError(
-                    f"thread {tid} unlocks {prog.obj_names[obj]} it does not hold")
-            self.mutex_owner[obj] = None
-            ask = self._release(obj)
-        elif op is _SEM_WAIT:
-            self.sem_count[obj] -= 1
-            waiters[obj] &= ~bit
-            if not self.sem_count[obj]:
+            if not count[obj]:
                 self.blocked |= waiters[obj]
-        elif op is _SEM_POST:
-            self.sem_count[obj] += 1
-            if self.sem_count[obj] == 1:
+        elif op is _UNLOCK or op is _SEM_POST:
+            if op is _UNLOCK:
+                if self.mutex_owner[obj] != tid:
+                    raise MachineError(
+                        f"thread {tid} unlocks {prog.obj_names[obj]} it does not hold")
+                self.mutex_owner[obj] = None
+            count[obj] += 1
+            if count[obj] == 1:
                 ask = self._release(obj)
-        elif op is _CREATE:
-            self.status[obj] = _READY
-            self.needs_start[obj] = True
-            ask = 1 << obj  # the new thread arrives at its START
-            obj = prog.create_obj[obj]
         elif op is _JOIN:
             obj = prog.exit_obj[obj]
             waiters[obj] &= ~bit
-        else:  # EXIT
+        elif op is _CREATE:
+            self.status[obj] = _READY
+            ask = 1 << obj  # the new thread arrives at its START
+            obj = prog.create_obj[obj]
+        elif op is _EXIT:
             self.status[tid] = _EXITED
             self.permitted &= ~bit
-            if tid not in prog.join_targets:
+            obj = prog.exit_obj.get(tid)
+            if obj is None:
                 return None, 0
-            obj = prog.exit_obj[tid]
-            return _new_tuple(Event, (seq, tid, _SYNC_EVENT, -1, ordinal, obj,
-                                      _EXIT_SYNC)), self._release(obj)
+            count[obj] = 1
+            ask = self._release(obj)
+        # A START changes no state: its object is its thread's creation object.
         self.pc[tid] = ordinal + 1
         return _new_tuple(Event, (seq, tid, _SYNC_EVENT, -1, ordinal, obj,
                                   _OP_SYNC[op])), ask
@@ -384,8 +378,8 @@ class Machine:
 
         The fused step loop; see the module docstring.
         """
-        threads, pc, regs = self.program.threads, self.pc, self.regs
-        needs_start, memory, events = self.needs_start, self.memory, self.events
+        threads, pc, regs = self.code, self.pc, self.regs
+        memory, events = self.memory, self.events
         append = events.append
         on_event = None if self.hooks is None else self.hooks.on_event
         live = sum(s is not _EXITED for s in self.status)
@@ -407,12 +401,9 @@ class Machine:
                     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
                     tid = ids[(z ^ (z >> 31)) % k]
                 steps += 1
-                if needs_start[tid]:
-                    op = ins = None
-                else:
-                    body = threads[tid]
-                    p = pc[tid]
-                    op, a, b = ins = body[p]
+                body = threads[tid]
+                p = pc[tid]
+                op, a, b = ins = body[p]
                 if op is _LOAD:
                     regs[tid][a] = memory.get(b, 0)
                     pc[tid] = p + 1

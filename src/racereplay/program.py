@@ -65,7 +65,6 @@ class Program:
     obj_names: tuple[str, ...]
     create_obj: dict  # tid -> object id of the start handshake
     exit_obj: dict  # tid -> object id of the exit handshake (join targets only)
-    join_targets: frozenset
     last_access: tuple  # tid -> index of its last LOAD or STORE, or -1
 
     @property
@@ -76,9 +75,6 @@ class Program:
     def n_objects(self) -> int:
         return len(self.obj_names)
 
-    def sem_initials(self):
-        return {oid: init for oid, init in self.semaphores.values()}
-
     def static_sync_counts(self) -> list:
         """Per thread, the most sync events a run can emit for it.
 
@@ -87,7 +83,7 @@ class Program:
         instruction runs at most once.
         """
         return [sum(ins.op in OBJECT_OPS or ins.op in THREAD_OPS for ins in body)
-                + (tid != MAIN_THREAD) + (tid in self.join_targets)
+                + (tid != MAIN_THREAD) + (tid in self.exit_obj)
                 for tid, body in enumerate(self.threads)]
 
     def instruction_text(self, tid: int, ordinal: int) -> str:
@@ -228,8 +224,8 @@ def parse_program(text: str) -> Program:
     sem_decls: list[tuple[str, int]] = []
     memory: dict[int, int] = {}
     lines = text.splitlines()
-    bodies: dict[int, range] = {}  # tid -> indices of its section's lines
-    thread_lines: dict[int, int] = {}
+    # tid -> indices of its section's lines; the start is its header's line number
+    bodies: dict[int, range] = {}
 
     current_tid = None
     for index, raw in enumerate(lines):
@@ -250,7 +246,6 @@ def parse_program(text: str) -> Program:
             if current_tid is not None:
                 bodies[current_tid] = range(bodies[current_tid].start, index)
             bodies[tid] = range(lineno, len(lines))
-            thread_lines[tid] = lineno
             current_tid = tid
             continue
         if current_tid is None:
@@ -345,7 +340,7 @@ def parse_program(text: str) -> Program:
             seen_exit = ins[0] is _EXIT
         if not seen_exit:
             raise ParseError(f"thread {tid} body must end with EXIT",
-                             thread_lines[tid])
+                             bodies[tid].start)
         last = len(body) - 1
         while last >= 0 and body[last][0] not in _ADDRESS_OPS:
             last -= 1
@@ -354,7 +349,7 @@ def parse_program(text: str) -> Program:
     for tid in tids:
         if tid != MAIN_THREAD and tid not in create_targets:
             raise ParseError(f"thread {tid} is declared but never created",
-                             thread_lines[tid])
+                             bodies[tid].start)
 
     create_obj = {tid: new_obj(f"start:{tid}") for tid in tids if tid != MAIN_THREAD}
     exit_obj = {tid: new_obj(f"exit:{tid}") for tid in sorted(join_targets)}
@@ -367,7 +362,6 @@ def parse_program(text: str) -> Program:
         obj_names=tuple(obj_names),
         create_obj=create_obj,
         exit_obj=exit_obj,
-        join_targets=frozenset(join_targets),
         last_access=tuple(last_access),
     )
 

@@ -149,6 +149,58 @@ def test_unlock_not_held_is_machine_error():
         run(parse_program(text), 0)
 
 
+def test_unlock_held_by_another_thread_is_machine_error():
+    # Main holds m and joins thread 1, which unlocks m. The error leaves
+    # the mutex with main and thread 1 at its UNLOCK.
+    text = ("mutex m\nthread 0:\n  LOCK m\n  CREATE 1\n  JOIN 1\n  EXIT\n"
+            "thread 1:\n  UNLOCK m\n  EXIT\n")
+    for seed in (0, 1, 2):
+        machine = Machine(parse_program(text), seed, None)
+        with pytest.raises(MachineError,
+                           match="thread 1 unlocks mutex:m it does not hold"):
+            machine.run()
+        assert machine.mutex_owner == {0: 0}
+        assert machine.pc[1] == 0
+        assert machine.steps == 4  # LOCK, CREATE, START, UNLOCK
+
+
+class _Refuse(ExecutionHooks):
+    def __init__(self, tids):
+        self.tids = tids
+
+    def permits(self, machine, tid):
+        return tid not in self.tids
+
+
+@pytest.mark.parametrize("text, refused, blocked", [
+    ("mutex m\nthread 0:\n  LOCK m\n  CREATE 1\n  JOIN 1\n  EXIT\n"
+     "thread 1:\n  LOCK m\n  EXIT\n", (),
+     [(0, "joining thread 1 (not exited)"),
+      (1, "waiting for mutex:m held by thread 0")]),
+    ("mutex m\nthread 0:\n  LOCK m\n  LOCK m\n  EXIT\n", (),
+     [(0, "waiting for mutex:m held by itself")]),
+    ("sem s 0\nthread 0:\n  SEM_WAIT s\n  EXIT\n", (),
+     [(0, "waiting on sem:s (count 0)")]),
+    ("sem s 0\nthread 0:\n  CREATE 1\n  JOIN 1\n  EXIT\n"
+     "thread 1:\n  SEM_WAIT s\n  EXIT\n", (),
+     [(0, "joining thread 1 (not exited)"), (1, "waiting on sem:s (count 0)")]),
+    ("sem s 0\nthread 0:\n  SEM_WAIT s\n  CREATE 1\n  EXIT\n"
+     "thread 1:\n  EXIT\n", (),
+     [(0, "waiting on sem:s (count 0)"), (1, "never created")]),
+    ("mutex m\nthread 0:\n  LOCK m\n  UNLOCK m\n  EXIT\n", (0,),
+     [(0, "stalled by scheduler hook")]),
+    ("thread 0:\n  CREATE 1\n  JOIN 1\n  EXIT\nthread 1:\n  EXIT\n", (1,),
+     [(0, "joining thread 1 (not exited)"), (1, "stalled by scheduler hook")]),
+])
+def test_deadlock_reasons(text, refused, blocked):
+    # One minimal program per reason a thread can be reported blocked;
+    # the last refuses a created thread at its START.
+    for seed in (0, 1, 2):
+        with pytest.raises(DeadlockError) as err:
+            run(parse_program(text), seed, _Refuse(refused) if refused else None)
+        assert err.value.blocked == blocked
+
+
 def test_lock_blocking_semantics_respected():
     # No LOCK event may appear while another thread holds the mutex.
     prog = parse_program(workloads.contended_counter(3, 10))
@@ -168,7 +220,7 @@ def test_lock_blocking_semantics_respected():
 def test_semaphore_count_never_negative():
     prog = parse_program(workloads.producer_consumer(40, 3))
     for seed in (0, 5):
-        counts = {oid: init for oid, init in prog.sem_initials().items()}
+        counts = {oid: init for oid, init in prog.semaphores.values()}
         for ev in run(prog, seed).events:
             if ev.kind is not EventKind.SYNC:
                 continue

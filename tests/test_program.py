@@ -18,7 +18,7 @@ def test_parse_shared_counter():
     assert prog.initial_memory == {0x1000: 5}
     assert [ins.op for ins in prog.threads[0]] == [
         Op.CREATE, Op.CREATE, Op.JOIN, Op.JOIN, Op.EXIT]
-    assert prog.join_targets == {1, 2}
+    assert set(prog.exit_obj) == {1, 2}
     assert set(prog.create_obj) == {1, 2}
 
 
