@@ -16,7 +16,7 @@ import sys
 from .detector import DIVERGED_NO_RACE, RACE, LiveSegmentProbe, detect
 from .errors import RaceReplayError
 from .generator import generate_program
-from .identify import identify
+from .identify import identify, identify_all
 from .program import Program, load_program, read_utf8
 from .record import record_execution
 from .replay import OK, replay_execution
@@ -114,11 +114,11 @@ def _print_detect_outcome(result, program, report_path) -> int:
     if result.status == RACE:
         for report in result.reports:
             print(report_human_text(report, program))
+            for line in report_record_lines(report):
+                print(line)
         if report_path:
             _write_lines(report_path, report_record_lines(result.report))
             print(f"report written to {report_path}")
-        for line in report_record_lines(result.report):
-            print(line)
         return EXIT_RACE
     if result.status == DIVERGED_NO_RACE:
         print(f"divergence without detected race: {result.replay.detail}")
@@ -158,13 +158,13 @@ def cmd_pipeline(args) -> int:
     size = rec.trace.write(trace_path)
 
     result = _run_detect(program, rec.trace, args)
-    # One identify replay per report; only --all-races finds more than one.
-    for report in result.reports:
-        try:
-            report.instructions = identify(program, rec.trace, report,
-                                           replay_seed=args.replay_seed)
-        except RaceReplayError as exc:
-            print(f"identification failed: {exc}", file=sys.stderr)
+    try:
+        answers = identify_all(program, rec.trace, result.reports,
+                               replay_seed=args.replay_seed)
+        for report, sites in zip(result.reports, answers):
+            report.instructions = sites
+    except RaceReplayError as exc:
+        print(f"identification failed: {exc}", file=sys.stderr)
     code = _print_detect_outcome(result, program, prefix + ".report")
 
     print(f"trace written to {trace_path}")

@@ -3,11 +3,12 @@
 Detection stores only addresses, so a report names the racing segments and
 the conflicting address but not the instructions. This phase replays the
 same trace with the same tie-breaking seed (replays are deterministic, so
-the prefix up to the race repeats exactly), runs without any per-access
-bookkeeping outside the two reported segments, and inside them records
-every access to the smallest witness address, the report's ``witness``.
-The answer is the first recorded access in each segment's own program
-order whose access type matches the type in the report.
+the prefix up to the races repeats exactly). One replay answers every
+report: for each reported side it watches that thread's segment for the
+report's smallest witness, its ``witness``, accessed with the side's
+access type. The answer is the first such access in the segment's own
+program order, so each asked (segment, address, type) keeps one ordinal,
+and the replay stops as soon as the last one is found.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .detector import RaceReport
 from .errors import IdentifyError
 from .machine import EventKind
 from .program import Program
-from .replay import DIVERGED, replay_execution
+from .replay import replay_execution
 from .tracefile import SyncTrace
 
 _SYNC_EVENT, _STORE_EVENT = EventKind.SYNC, EventKind.STORE
@@ -36,53 +37,67 @@ class InstructionSite:
 
 
 class _Collector:
-    def __init__(self, report: RaceReport):
-        self.targets = {(report.side1.tid, report.side1.segment): [],
-                        (report.side2.tid, report.side2.segment): []}
-        self.witness = report.witness
-        self.counts: dict[int, int] = {}
-        self.open: dict[int, bool] = {}
-        self.closed_targets = 0
+    """Replay observer holding the asked (thread, segment, witness, kind)
+    keys not yet seen. The first access matching a key, in the segment's
+    program order, takes the key out and keeps its ordinal; the replay stops
+    once no key is left.
+
+    A thread's segment index counts its closed segments that made a memory
+    access, as the detector numbers them.
+    """
+
+    def __init__(self, reports, n_threads: int):
+        self.asked = {(side.tid, side.segment, report.witness, side.kind)
+                      for report in reports
+                      for side in (report.side1, report.side2)}
+        self.found: dict[tuple, int] = {}  # asked key -> ordinal
+        self.segment = [0] * n_threads
+        self.accessed = [False] * n_threads
 
     def __call__(self, machine, event) -> bool:
         tid = event.tid
         if event.kind is _SYNC_EVENT:
-            if self.open.pop(tid, False):
-                if (tid, self.counts.get(tid, 0)) in self.targets:
-                    self.closed_targets += 1
-                    if self.closed_targets == len(self.targets):
-                        return True  # both segments scanned; stop replaying
-                self.counts[tid] = self.counts.get(tid, 0) + 1
+            self.segment[tid] += self.accessed[tid]
+            self.accessed[tid] = False
             return False
-        self.open[tid] = True
-        key = (tid, self.counts.get(tid, 0))
-        if key in self.targets and event.addr == self.witness:
-            kind = "store" if event.kind is _STORE_EVENT else "load"
-            self.targets[key].append((event.ordinal, kind))
+        self.accessed[tid] = True
+        key = (tid, self.segment[tid], event.addr,
+               "store" if event.kind is _STORE_EVENT else "load")
+        if key in self.asked:
+            self.asked.remove(key)
+            self.found[key] = event.ordinal
+            return not self.asked  # every answer found; stop replaying
         return False
+
+
+def identify_all(program: Program, trace: SyncTrace, reports,
+                 replay_seed: int) -> list:
+    """Returns one (InstructionSite, InstructionSite) per report, in the
+    reports' order, all from one replay that ends at its last answer.
+
+    Raises ``MismatchError`` from the replay when the trace is not this
+    program's, and ``IdentifyError`` when a side's access never occurs.
+    """
+    if not reports:
+        return []
+    collector = _Collector(reports, program.n_threads)
+    result = replay_execution(program, trace, observer=collector,
+                              replay_seed=replay_seed)
+
+    def site(side, w):
+        ordinal = collector.found.get((side.tid, side.segment, w, side.kind))
+        if ordinal is None:
+            detail = f": {result.detail}" if result.detail else ""
+            raise IdentifyError(
+                f"no {side.kind} of 0x{w:08X} found in thread {side.tid} "
+                f"segment {side.segment} (replay {result.verdict}{detail}); "
+                f"report does not match this trace")
+        return InstructionSite(side.tid, ordinal, side.kind, w)
+    return [(site(r.side1, r.witness), site(r.side2, r.witness))
+            for r in reports]
 
 
 def identify(program: Program, trace: SyncTrace, report: RaceReport,
              replay_seed: int = 0) -> tuple:
-    """Returns (InstructionSite, InstructionSite), one per report side.
-
-    Raises ``MismatchError`` from the replay when the trace is not this
-    program's.
-    """
-    collector = _Collector(report)
-    result = replay_execution(program, trace, observer=collector,
-                              replay_seed=replay_seed)
-    if collector.closed_targets < len(collector.targets) and result.verdict == DIVERGED:
-        raise IdentifyError(f"replay diverged before the reported segments "
-                            f"({result.detail})")
-    w = report.witness
-    sites = []
-    for side in (report.side1, report.side2):
-        accesses = collector.targets.get((side.tid, side.segment), [])
-        match = next(((o, k) for o, k in accesses if k == side.kind), None)
-        if match is None:
-            raise IdentifyError(
-                f"no {side.kind} of 0x{w:08X} found in thread {side.tid} "
-                f"segment {side.segment}; report does not match this trace")
-        sites.append(InstructionSite(side.tid, match[0], match[1], w))
-    return tuple(sites)
+    """Returns (InstructionSite, InstructionSite), one per report side."""
+    return identify_all(program, trace, [report], replay_seed)[0]

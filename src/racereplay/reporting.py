@@ -53,10 +53,18 @@ def _parse_side(value: str) -> RaceSide:
     return side
 
 
-def _parse_site(value: str) -> InstructionSite:
+def _parse_site(value: str, side: RaceSide, witness: int) -> InstructionSite:
+    """A site as identify writes it: an access of its side's thread, at the
+    report's witness."""
     where, kind = value.split()
-    tid, ordinal = where.split(":")
-    return InstructionSite(int(tid), int(ordinal), kind, -1)
+    tid, ordinal = map(int, where.split(":"))
+    if kind not in ("load", "store"):
+        raise ValueError(f"access kind {kind!r} is neither load nor store")
+    if tid != side.tid:
+        raise ValueError(f"site {value!r} is not on thread {side.tid}")
+    if ordinal < 0:
+        raise ValueError(f"negative ordinal in site {value!r}")
+    return InstructionSite(tid, ordinal, kind, witness)
 
 
 def parse_report_record(text: str) -> RaceReport:
@@ -77,9 +85,12 @@ def parse_report_record(text: str) -> RaceReport:
             raise ValueError(f"both sides on thread {side1.tid}")
         if any(map(ge, witnesses, witnesses[1:])):
             raise ValueError("witnesses not strictly ascending")
+        if ("i1" in fields) != ("i2" in fields):
+            raise ValueError("one of i1 and i2 without the other")
         instructions = None
-        if "i1" in fields and "i2" in fields:
-            instructions = (_parse_site(fields["i1"]), _parse_site(fields["i2"]))
+        if "i1" in fields:
+            instructions = (_parse_site(fields["i1"], side1, witnesses[0]),
+                            _parse_site(fields["i2"], side2, witnesses[0]))
     except (KeyError, ValueError, IndexError) as exc:
         raise RaceReplayError(f"malformed report record: {exc}")
     return RaceReport(witnesses=witnesses, side1=side1, side2=side2,

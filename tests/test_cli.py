@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -14,10 +15,13 @@ from racereplay import generator, workloads
 from racereplay.cli import main
 from racereplay.detector import detect
 from racereplay.errors import RaceReplayError
+from racereplay.identify import identify
 from racereplay.oracle import expected_instruction_pair, full_access_log
 from racereplay.program import parse_program
 from racereplay.record import record_execution
-from racereplay.reporting import parse_report_record
+from racereplay.replay import replay_execution
+from racereplay.reporting import (parse_report_record, report_human_text,
+                                  report_record_lines)
 from racereplay.tracefile import SyncTrace
 
 
@@ -89,6 +93,63 @@ def test_pipeline_all_races_identifies_every_race(tmp_path, capsys):
     assert sites == expected
 
 
+# Eight unlocked threads that race 28 times under record seed 1.
+MANY_RACES = generator.generate_program(1, threads=8, ops_per_thread=200,
+                                        lock_density=0.0)
+
+
+@pytest.mark.parametrize("text, races", [(TWO_RACES, 2), (MANY_RACES, 28)],
+                         ids=["two", "many"])
+def test_pipeline_all_races_makes_one_identify_replay(
+        text, races, monkeypatch, tmp_path, capsys):
+    identify_mod = import_module("racereplay.identify")
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return replay_execution(*args, **kwargs)
+
+    monkeypatch.setattr(identify_mod, "replay_execution", counted)
+    path = tmp_path / "many.prog"
+    path.write_text(text)
+    assert main(["pipeline", str(path), "--seed", "1", "--all-races"]) == 10
+    out = capsys.readouterr().out
+    assert out.count("data race on") == races
+    assert "racing instructions: unknown" not in out
+    assert len(calls) == 1
+
+
+def test_detect_all_races_prints_a_record_identify_takes_for_each_race(
+        tmp_path, capsys):
+    path = tmp_path / "two.prog"
+    path.write_text(TWO_RACES)
+    trace = str(tmp_path / "two.trace")
+    first = tmp_path / "first.report"
+    assert main(["record", str(path), "--seed", "1", "-o", trace]) == 0
+    capsys.readouterr()
+    assert main(["detect", str(path), "--trace", trace, "--all-races",
+                 "--report", str(first)]) == 10
+    lines = capsys.readouterr().out.splitlines()
+    starts = [i for i, line in enumerate(lines) if line.startswith("witness=")]
+    records = ["\n".join(lines[i:i + 5]) + "\n" for i in starts]
+    assert len(records) == 2
+    assert first.read_text() == records[0]
+
+    program = parse_program(TWO_RACES)
+    decoded = SyncTrace.read(trace)
+    second = detect(program, decoded, all_races=True).reports[1]
+    log = full_access_log(replay_events(program, decoded)[0],
+                          program.n_threads)
+    report = tmp_path / "second.report"
+    report.write_text(records[1])
+    assert main(["identify", str(path), "--trace", trace,
+                 "--report", str(report)]) == 10
+    sites = parse_report_record(report.read_text()).instructions
+    assert tuple((s.tid, s.ordinal, s.kind, s.address) for s in sites) \
+        == expected_instruction_pair(log, second)
+    assert second.witness == 0x200
+
+
 def test_pipeline_clean_exit(clean, capsys):
     assert main(["pipeline", clean, "--seed", "5"]) == 0
     out = capsys.readouterr().out
@@ -137,6 +198,34 @@ def test_identify_garbled_report_usage_error(racy, tmp_path, capsys):
     assert main(["record", racy, "--seed", "8", "-o", trace]) == 0
     assert main(["identify", racy, "--trace", trace, "--report", str(report)]) == 1
     assert "malformed report record" in capsys.readouterr().err
+
+
+def test_parsed_report_prints_as_the_original():
+    program = parse_program(workloads.shared_counter())
+    trace = record_execution(program, 3).trace
+    report = detect(program, trace).report
+    report.instructions = identify(program, trace, report)
+    parsed = parse_report_record("\n".join(report_record_lines(report)))
+    assert report_human_text(parsed, program) \
+        == report_human_text(report, program)
+
+
+@pytest.mark.parametrize("find, replace, message", [
+    ("i1=1:2 store", "i1=1:2 banana", "neither load nor store"),
+    ("i1=1:2 store", "i1=2:2 store", "not on thread 1"),
+    ("i2=2:2 store", "i2=-2:2 store", "not on thread 2"),
+    ("i1=1:2 store", "i1=1:-2 store", "negative ordinal"),
+    ("i1=1:2 store\n", "", "one of i1 and i2 without the other"),
+    ("i2=2:2 store\n", "", "one of i1 and i2 without the other"),
+])
+def test_report_with_a_site_identify_never_writes_is_refused(
+        find, replace, message):
+    good = GARBLED_SITE_REPORT.replace("i1=garbage", "i1=1:2 store")
+    assert parse_report_record(good).instructions is not None
+    assert find in good
+    with pytest.raises(RaceReplayError, match="malformed report record: .*"
+                       + message):
+        parse_report_record(good.replace(find, replace))
 
 
 TWO_RACES_REPORT = ("witness=0x00000100\nwitnesses=0x00000100\n"
