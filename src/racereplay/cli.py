@@ -141,7 +141,7 @@ def cmd_identify(args) -> int:
     program = load_program(args.program)
     trace = _read_trace(args.trace, program)
     report = parse_report_record(read_utf8(args.report))
-    sites = identify(program, trace, report, replay_seed=args.replay_seed)
+    sites = identify(program, trace, report)
     report.instructions = sites
     _write_lines(args.report, report_record_lines(report))
     print(report_human_text(report, program))
@@ -159,8 +159,7 @@ def cmd_pipeline(args) -> int:
 
     result = _run_detect(program, rec.trace, args)
     try:
-        answers = identify_all(program, rec.trace, result.reports,
-                               replay_seed=args.replay_seed)
+        answers = identify_all(program, rec.trace, result.reports)
         for report, sites in zip(result.reports, answers):
             report.instructions = sites
     except RaceReplayError as exc:
@@ -214,7 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--replay-seed", type=_u64, default=0,
-                        help="tie-break seed for concurrent sync ops")
+                        help="scheduler seed for memory and register steps "
+                        "(sync ops replay in timestamp, thread-id order)")
     detecting = argparse.ArgumentParser(add_help=False, parents=[seeded])
     detecting.add_argument("--all-races", action="store_true",
                            help="keep scanning past the first race")
@@ -239,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", required=True)
     p.add_argument("--report", help="write the machine-readable report here")
 
-    p = add("identify", cmd_identify, parents=[seeded],
+    p = add("identify", cmd_identify,
             help="locate the racing instructions")
     p.add_argument("program")
     p.add_argument("--trace", required=True)

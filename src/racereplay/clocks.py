@@ -76,9 +76,9 @@ class VectorClockTracker:
     """Per-execution vector clock state for threads and sync objects."""
 
     def __init__(self, n_threads: int, n_objects: int):
-        self.n = n_threads
-        self.threads = [vc_zero(n_threads) for _ in range(n_threads)]
-        self.objects = [vc_zero(n_threads) for _ in range(n_objects)]
+        z = vc_zero(n_threads)  # tuples are immutable, so all share one
+        self.threads = [z] * n_threads
+        self.objects = [z] * n_objects
 
     def apply_sync(self, tid: int, obj: int, acquire: bool):
         """Apply one sync op; returns the thread clock before the op

@@ -2,13 +2,15 @@
 
 Detection stores only addresses, so a report names the racing segments and
 the conflicting address but not the instructions. This phase replays the
-same trace with the same tie-breaking seed (replays are deterministic, so
-the prefix up to the races repeats exactly). One replay answers every
-report: for each reported side it watches that thread's segment for the
-report's smallest witness, its ``witness``, accessed with the side's
-access type. The answer is the first such access in the segment's own
-program order, so each asked (segment, address, type) keeps one ordinal,
-and the replay stops as soon as the last one is found.
+same trace. Thread bodies are straight-line code with constant addresses,
+so a segment ``(tid, index)`` makes the same accesses in the same program
+order in every replay of the trace, whatever the replay seed; the replay
+takes none. One replay answers every report: for each reported side it
+watches that thread's segment for the report's smallest witness, its
+``witness``, accessed with the side's access type. The answer is the
+first such access in the segment's own program order, so each asked
+(segment, address, type) keeps one ordinal, and the replay stops as soon
+as the last one is found.
 """
 
 from __future__ import annotations
@@ -70,8 +72,7 @@ class _Collector:
         return False
 
 
-def identify_all(program: Program, trace: SyncTrace, reports,
-                 replay_seed: int) -> list:
+def identify_all(program: Program, trace: SyncTrace, reports) -> list:
     """Returns one (InstructionSite, InstructionSite) per report, in the
     reports' order, all from one replay that ends at its last answer.
 
@@ -81,8 +82,7 @@ def identify_all(program: Program, trace: SyncTrace, reports,
     if not reports:
         return []
     collector = _Collector(reports, program.n_threads)
-    result = replay_execution(program, trace, observer=collector,
-                              replay_seed=replay_seed)
+    result = replay_execution(program, trace, observer=collector)
 
     def site(side, w):
         ordinal = collector.found.get((side.tid, side.segment, w, side.kind))
@@ -97,7 +97,6 @@ def identify_all(program: Program, trace: SyncTrace, reports,
             for r in reports]
 
 
-def identify(program: Program, trace: SyncTrace, report: RaceReport,
-             replay_seed: int = 0) -> tuple:
+def identify(program: Program, trace: SyncTrace, report: RaceReport) -> tuple:
     """Returns (InstructionSite, InstructionSite), one per report side."""
-    return identify_all(program, trace, [report], replay_seed)[0]
+    return identify_all(program, trace, [report])[0]

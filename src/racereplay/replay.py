@@ -1,10 +1,12 @@
 """Replay phase: re-execute a program under the recorded sync order.
 
-A thread whose next step is a synchronisation operation is stalled until
-every recorded sync op with a smaller timestamp has executed; equal
-timestamps may run in any order. Memory and register operations are never
-stalled. Tie-breaking among simultaneously eligible threads uses the
-machine scheduler with a fixed replay seed, so replays are deterministic.
+Sync operations run one at a time in Lamport's total order: by recorded
+timestamp, equal timestamps by ascending thread id. A thread whose next
+step is a sync op is stalled until it holds the smallest unexecuted
+(timestamp, thread id) pair, so the sync order of a replay does not
+depend on the replay seed. Memory and register operations are never
+stalled; the machine scheduler, seeded with the replay seed, interleaves
+them, so replays are deterministic.
 
 The verdict is DIVERGED when a thread attempts more sync ops than were
 recorded, when the machine gets stuck (a sync op stalls forever), or when
@@ -40,74 +42,67 @@ class ReplayResult:
 
 
 class _ReplayHooks(ExecutionHooks):
-    """The replay gate: a sync op runs once no smaller stamp is unexecuted.
+    """The replay gate: sync ops run one at a time in (stamp, tid) order.
 
-    The machine asks only about gate ops that emit a SYNC event, so each
-    question is about the thread's next recorded stamp. A thread past its
-    recorded sync count is refused for good. The frontier is the smallest
-    unexecuted stamp. The thread's stamp is unexecuted, so it is never
-    below the frontier, and the op may run exactly when the two are equal.
-    A refused thread is parked under its stamp, and ``recheck`` hands back
-    the threads parked at the frontier's stamp. That one stamp is enough:
-    a parked stamp is unexecuted, so the frontier never passes it, and the
-    thread's next stamp changes only when the thread itself executes a
-    sync op. The frontier moves only at a SYNC event, and the machine
-    calls ``recheck`` after every gate step while any thread is refused,
-    so each parked thread is handed back at the first recheck that finds
-    the frontier at its stamp.
+    This is Lamport's total order: the recorded stamps, ties broken by
+    thread id. The machine asks only about gate ops that emit a SYNC
+    event, so each question is about the thread's next recorded stamp. A
+    thread past its recorded sync count is refused for good.
 
-    The gate keeps O(threads) state: a heap of the threads' next stamps,
-    their heads. This needs each thread's stamps to strictly increase, as
-    record writes them and the trace decoder demands; then a thread's head
-    is its smallest unexecuted stamp, and the frontier is the smallest
-    head, the heap's top (None once every stamp has executed). An op is
-    permitted only at the frontier's stamp, so a SYNC event executes a
-    head equal to the top, and the top is replaced by that thread's next
-    stamp, or popped when the thread has none.
+    The gate keeps O(threads) state: a heap of each thread's next
+    ``(stamp, tid)``, packed as the int ``stamp * n + tid``. Each thread's
+    stamps strictly increase, as record writes them and the trace decoder
+    demands, and ``tid < n``, so the ints order as the pairs do. The heap
+    top is the smallest unexecuted pair, and ``frontier`` is its thread
+    (None once every stamp has executed). Only the frontier thread may run
+    its op; its SYNC event replaces the top by the thread's next pair, or
+    pops it when the thread has none. The frontier moves only there, and
+    the machine calls ``recheck`` after every gate step while any thread is
+    refused, so handing back the frontier's bit alone is enough.
+
+    Under an honest trace the frontier op can always complete: every op it
+    waits on has a smaller stamp, so it has already run.
     """
 
     def __init__(self, stamps, observer):
         self.stamps = stamps
         self.observer = observer
-        self.done = [0] * len(stamps)  # sync ops executed per thread
-        self.total = sum(map(len, stamps))
-        self.heads = [per_thread[0] for per_thread in stamps if per_thread]
+        self.n = n = len(stamps)
+        self.done = [0] * n  # sync ops executed per thread
+        self.heads = [per_thread[0] * n + tid
+                      for tid, per_thread in enumerate(stamps) if per_thread]
         heapify(self.heads)
-        self.frontier = self.heads[0] if self.heads else None
+        self.frontier = self.heads[0] % n if self.heads else None
         self.over_budget: set[int] = set()
-        self.parked: dict[int, int] = {}  # stamp -> threads refused at it
 
     def permits(self, machine: Machine, tid: int) -> bool:
-        k = self.done[tid]
-        if k >= len(self.stamps[tid]):
+        if self.done[tid] >= len(self.stamps[tid]):
             self.over_budget.add(tid)
             return False
-        stamp = self.stamps[tid][k]
-        if stamp == self.frontier:
-            return True
-        self.parked[stamp] = self.parked.get(stamp, 0) | 1 << tid
-        return False
+        return tid == self.frontier
 
     def recheck(self, machine: Machine, vetoed: int) -> int:
-        """The threads parked at the frontier's stamp."""
-        return self.parked.pop(self.frontier, 0)
+        """The frontier thread, if it was refused."""
+        frontier = self.frontier
+        return 0 if frontier is None else vetoed & (1 << frontier)
 
     def on_event(self, machine: Machine, event: Event):
         if event.kind is _SYNC_EVENT:
-            stamps = self.stamps[event.tid]
-            k = self.done[event.tid] = self.done[event.tid] + 1
+            tid = event.tid
+            stamps = self.stamps[tid]
+            k = self.done[tid] = self.done[tid] + 1
             heads = self.heads
             if k < len(stamps):
-                heapreplace(heads, stamps[k])
+                heapreplace(heads, stamps[k] * self.n + tid)
             else:
                 heappop(heads)
-            self.frontier = heads[0] if heads else None
+            self.frontier = heads[0] % self.n if heads else None
         if self.observer is not None:
             return self.observer(machine, event)
         return None
 
     def unexecuted(self) -> int:
-        return self.total - sum(self.done)
+        return sum(map(len, self.stamps)) - sum(self.done)
 
 
 def replay_execution(program: Program, trace: SyncTrace,

@@ -10,7 +10,7 @@ from __future__ import annotations
 from operator import ge
 
 from .detector import RaceReport, RaceSide
-from .errors import RaceReplayError
+from .errors import MismatchError, RaceReplayError
 from .identify import InstructionSite
 from .program import Program
 
@@ -108,6 +108,12 @@ def report_human_text(report: RaceReport, program: Program) -> str:
         lines.append("  racing instructions: unknown (run the identification phase)")
     else:
         for site in report.instructions:
+            # A parsed report's sites are checked here, where they first
+            # meet the program.
+            if not (site.tid < program.n_threads
+                    and site.ordinal < len(program.threads[site.tid])):
+                raise MismatchError(f"site {site} is not an instruction "
+                                    f"of this program")
             text = program.instruction_text(site.tid, site.ordinal)
             lines.append(f"  thread {site.tid} instruction {site.ordinal}:"
                          f"  {text}  ({site.kind} 0x{site.address:08X})")

@@ -210,6 +210,26 @@ def test_parsed_report_prints_as_the_original():
         == report_human_text(report, program)
 
 
+@pytest.mark.parametrize("edits, site", [
+    ([("i1=1:2", "i1=1:99")], "1:99 store"),
+    ([("t1=1", "t1=7"), ("i1=1:2", "i1=7:2")], "7:2 store"),
+])
+def test_parsed_site_past_the_program_is_refused(edits, site):
+    # The parser cannot know the program; printing the report against it
+    # refuses a site that is no instruction of it, naming the site.
+    program = parse_program(workloads.shared_counter())
+    text = GARBLED_SITE_REPORT.replace("i1=garbage", "i1=1:2 store")
+    assert "thread 1 instruction 2" in report_human_text(
+        parse_report_record(text), program)
+    for find, replace in edits:
+        assert find in text
+        text = text.replace(find, replace)
+    report = parse_report_record(text)
+    with pytest.raises(RaceReplayError,
+                       match=f"site {site} is not an instruction"):
+        report_human_text(report, program)
+
+
 @pytest.mark.parametrize("find, replace, message", [
     ("i1=1:2 store", "i1=1:2 banana", "neither load nor store"),
     ("i1=1:2 store", "i1=2:2 store", "not on thread 1"),
@@ -421,6 +441,22 @@ def test_argparse_usage_error_exits_1(argv, racy, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage: racereplay")
     assert "error: racereplay" in err
+
+
+def test_identify_takes_no_replay_seed(racy, tmp_path, capsys):
+    # Identify's answer does not depend on the replay seed, so it has none;
+    # the commands whose counts it moves keep it.
+    trace, report = str(tmp_path / "s.trace"), str(tmp_path / "s.report")
+    assert main(["record", racy, "--seed", "3", "-o", trace]) == 0
+    assert main(["detect", racy, "--trace", trace, "--report", report,
+                 "--replay-seed", "1"]) == 10
+    capsys.readouterr()
+    assert main(["identify", racy, "--trace", trace, "--report", report,
+                 "--replay-seed", "1"]) == 1
+    assert "unrecognized arguments: --replay-seed 1" in capsys.readouterr().err
+    assert main(["replay", racy, "--trace", trace, "--replay-seed", "1"]) == 0
+    assert main(["pipeline", racy, "--replay-seed", "1",
+                 "--out-prefix", str(tmp_path / "p")]) == 10
 
 
 def test_console_script_entry_point(racy):

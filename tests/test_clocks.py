@@ -1,6 +1,7 @@
 """Clock primitives against direct-definition oracles."""
 
 import random
+import tracemalloc
 
 from racereplay.clocks import (MatrixClockTracker, Ordering, VectorClockTracker,
                                column_min, lamport_advance, vc_compare,
@@ -128,6 +129,22 @@ def test_vector_tracker_release_then_acquire_orders():
     assert vt.threads[1] == (0, 1)
     assert vt.threads[0] == (1, 0)
     assert vc_compare((0, 0), vt.threads[1]) is Ordering.BEFORE
+
+
+def test_vector_tracker_shares_one_zero_clock():
+    # Every thread and object starts at the same immutable zero tuple, so
+    # building the tracker costs O(threads + objects), not O(n x (n + m)):
+    # a fresh 2000-tuple per row would hold about 90 MiB here.
+    tracemalloc.start()
+    try:
+        vt = VectorClockTracker(2000, 4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert vt.threads[0] == vt.objects[-1] == vc_zero(2000)
+    vt.apply_sync(1, 0, acquire=False)
+    assert vt.threads[0] == vc_zero(2000) and vt.threads[1][1] == 1
 
 
 def test_matrix_tracker_rows_never_exceed_actual():

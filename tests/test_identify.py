@@ -114,7 +114,7 @@ def test_one_replay_answers_every_report_as_the_oracle_does():
             lock_density=(0.0, 0.3)[i % 2], shared_addresses=2 + i % 3))
         trace = record_execution(prog, seed=i).trace
         reports = detect(prog, trace, all_races=True).reports
-        answers = identify_all(prog, trace, reports, 0)
+        answers = identify_all(prog, trace, reports)
         log = full_access_log(replay_events(prog, trace)[0], prog.n_threads)
         assert [tuple((s.tid, s.ordinal, s.kind, s.address) for s in sites)
                 for sites in answers] \

@@ -1,20 +1,30 @@
 """Replay: fidelity for race-free programs, divergence signalling."""
 
 import tracemalloc
+from functools import partial
+from importlib import import_module
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _helpers import CountingHooks, per_object_sync_sequences, replay_events
 
 import racereplay.replay as replay_mod
 from racereplay import workloads
+from racereplay.detector import detect
 from racereplay.errors import MismatchError
 from racereplay.generator import generate_program
-from racereplay.machine import run
+from racereplay.identify import identify_all
+from racereplay.machine import EventKind, run
 from racereplay.program import parse_program
 from racereplay.record import record_execution
 from racereplay.replay import DIVERGED, OK, _ReplayHooks, replay_execution
 from racereplay.tracefile import SyncTrace
+
+# The package re-exports the function ``identify`` under the module's name.
+identify_mod = import_module("racereplay.identify")
 
 
 def test_race_free_replay_matches_record():
@@ -104,17 +114,22 @@ def test_crafted_missing_recorded_ops_diverge():
 
 
 def test_equal_stamps_may_run_any_order():
-    # Two workers lock distinct mutexes: their op stamps coincide, and the
-    # replay must still complete under any tie-breaking seed.
+    # Two workers lock distinct mutexes: their op stamps coincide. Ties run
+    # in thread-id order, so the replay completes under any replay seed and
+    # its sync order is the same under each.
     text = ("mutex m\nmutex n\n"
             "thread 0:\n  CREATE 1\n  CREATE 2\n  JOIN 1\n  JOIN 2\n  EXIT\n"
             "thread 1:\n  LOCK m\n  UNLOCK m\n  EXIT\n"
             "thread 2:\n  LOCK n\n  UNLOCK n\n  EXIT\n")
     prog = parse_program(text)
     rec = record_execution(prog, 1)
+    orders = set()
     for replay_seed in range(6):
-        assert replay_execution(prog, rec.trace,
-                                replay_seed=replay_seed).verdict == OK
+        events, result = replay_events(prog, rec.trace, replay_seed)
+        assert result.verdict == OK
+        orders.add(tuple((ev.tid, ev.obj, ev.sync) for ev in events
+                         if ev.kind is EventKind.SYNC))
+    assert len(orders) == 1
 
 
 @pytest.mark.parametrize("threads, ops", [(16, 200), (64, 100)])
@@ -146,11 +161,11 @@ def test_gate_work_is_bounded_by_sync_ops(monkeypatch, threads, ops):
 
 
 def test_recheck_hands_back_only_threads_at_the_frontier(monkeypatch):
-    # A parked stamp is unexecuted and the frontier never passes an
-    # unexecuted stamp, so every thread recheck hands back waits for the
-    # frontier's own stamp, and an OK replay leaves no thread parked. Each
-    # program is replayed under its honest trace and under one with a
-    # stamp raised, which parks threads that would otherwise run.
+    # Only the frontier thread may run, so recheck hands back at most one
+    # thread, and that thread's next recorded stamp, packed with its tid,
+    # is the heap top; an OK replay ends with the heap empty. Each program
+    # is replayed under its honest trace and under one with a stamp
+    # raised, which makes threads wait that would otherwise run.
     gates = []
     handed = 0
 
@@ -162,11 +177,12 @@ def test_recheck_hands_back_only_threads_at_the_frontier(monkeypatch):
         def recheck(self, machine, vetoed):
             nonlocal handed
             due = super().recheck(machine, vetoed)
-            frontier = self.frontier
-            for tid, stamps in enumerate(self.stamps):
-                if due >> tid & 1:
-                    assert stamps[self.done[tid]] == frontier
-                    handed += 1
+            assert due & (due - 1) == 0  # at most one bit
+            if due:
+                tid = due.bit_length() - 1
+                stamp = self.stamps[tid][self.done[tid]]
+                assert stamp * len(self.stamps) + tid == self.heads[0]
+                handed += 1
             return due
 
     monkeypatch.setattr(replay_mod, "_ReplayHooks", Checked)
@@ -184,7 +200,8 @@ def test_recheck_hands_back_only_threads_at_the_frontier(monkeypatch):
             result = replay_execution(prog, trace, replay_seed=i)
             assert result.verdict == OK or stamps is raised
             if result.verdict == OK:
-                assert gates[0].parked == {}
+                assert gates[0].heads == []
+                assert gates[0].frontier is None
     assert handed > 0
 
 
@@ -204,3 +221,30 @@ def test_gate_state_is_bounded_by_threads():
         tracemalloc.stop()
     assert gate.unexecuted() == 80004
     assert held < 16 * 1024, held
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32), threads=st.integers(2, 5),
+       ops=st.integers(8, 60),
+       density=st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0)),
+       shared=st.integers(1, 6), record_seed=st.integers(0, 2**16))
+def test_reports_do_not_depend_on_the_replay_seed(seed, threads, ops, density,
+                                                  shared, record_seed):
+    # Sync ops replay in (stamp, tid) order whatever the seed, and the seed
+    # moves only memory and register steps, which no report depends on.
+    # Identify's own replay is run under each seed too.
+    prog = parse_program(generate_program(seed, threads=threads,
+                                          ops_per_thread=ops,
+                                          lock_density=density,
+                                          shared_addresses=shared))
+    trace = record_execution(prog, record_seed).trace
+    outcomes = set()
+    for replay_seed in range(4):
+        first = detect(prog, trace, replay_seed=replay_seed)
+        every = detect(prog, trace, all_races=True, replay_seed=replay_seed)
+        seeded = partial(replay_execution, replay_seed=replay_seed)
+        with mock.patch.object(identify_mod, "replay_execution", seeded):
+            sites = identify_all(prog, trace, every.reports)
+        outcomes.add((first.status, repr(first.reports),
+                      every.status, repr(every.reports), repr(sites)))
+    assert len(outcomes) == 1
