@@ -90,7 +90,7 @@ def cmd_record(args) -> int:
 def cmd_replay(args) -> int:
     program = load_program(args.program)
     trace = _read_trace(args.trace, program)
-    result = replay_execution(program, trace, replay_seed=args.replay_seed)
+    result = replay_execution(program, trace)
     print(f"replay verdict: {result.verdict}"
           + (f" ({result.detail})" if result.detail else ""))
     if args.show_memory:
@@ -101,8 +101,7 @@ def cmd_replay(args) -> int:
 
 def _run_detect(program: Program, trace: SyncTrace, args):
     probe = LiveSegmentProbe(program) if args.probe_live_segments else None
-    result = detect(program, trace, all_races=args.all_races, listener=probe,
-                    replay_seed=args.replay_seed)
+    result = detect(program, trace, all_races=args.all_races, listener=probe)
     if probe is not None:
         rows = ["snoop_point,live_snooped,live_logical"]
         rows += [f"{p},{s},{l}" for p, s, l in probe.rows]
@@ -211,11 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         return p
 
-    seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--replay-seed", type=_u64, default=0,
-                        help="scheduler seed for memory and register steps "
-                        "(sync ops replay in timestamp, thread-id order)")
-    detecting = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    detecting = argparse.ArgumentParser(add_help=False)
     detecting.add_argument("--all-races", action="store_true",
                            help="keep scanning past the first race")
     detecting.add_argument(
@@ -227,8 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_u64, default=0, help="schedule seed (u64)")
     p.add_argument("-o", "--output", help="trace path (default <program>.trace)")
 
-    p = add("replay", cmd_replay, parents=[seeded],
-            help="re-execute under a recorded trace")
+    p = add("replay", cmd_replay, help="re-execute under a recorded trace")
     p.add_argument("program")
     p.add_argument("--trace", required=True)
     p.add_argument("--show-memory", action="store_true")

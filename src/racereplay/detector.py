@@ -542,8 +542,8 @@ class LiveSegmentProbe(DetectorListener):
 
 
 def detect(program: Program, trace: SyncTrace, *, all_races: bool = False,
-           gc: bool = True, listener: Optional[DetectorListener] = None,
-           replay_seed: int = 0) -> DetectResult:
+           gc: bool = True,
+           listener: Optional[DetectorListener] = None) -> DetectResult:
     """Replay under the trace and report the first data race, if any.
 
     ``listener`` sees the detector's segment closes, discards and sync
@@ -551,8 +551,7 @@ def detect(program: Program, trace: SyncTrace, *, all_races: bool = False,
     """
     state = _DetectorState(program, all_races=all_races, gc=gc,
                            listener=listener)
-    replay = replay_execution(program, trace, observer=state.on_event,
-                              replay_seed=replay_seed)
+    replay = replay_execution(program, trace, observer=state.on_event)
     if replay.verdict != STOPPED or all_races:
         state.finish()
     if state.reports:

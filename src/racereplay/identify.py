@@ -4,13 +4,12 @@ Detection stores only addresses, so a report names the racing segments and
 the conflicting address but not the instructions. This phase replays the
 same trace. Thread bodies are straight-line code with constant addresses,
 so a segment ``(tid, index)`` makes the same accesses in the same program
-order in every replay of the trace, whatever the replay seed; the replay
-takes none. One replay answers every report: for each reported side it
-watches that thread's segment for the report's smallest witness, its
-``witness``, accessed with the side's access type. The answer is the
-first such access in the segment's own program order, so each asked
-(segment, address, type) keeps one ordinal, and the replay stops as soon
-as the last one is found.
+order in every replay of the trace. One replay answers every report: for
+each reported side it watches that thread's segment for the report's
+smallest witness, its ``witness``, accessed with the side's access type.
+The answer is the first such access in the segment's own program order,
+so each asked (segment, address, type) keeps one ordinal, and the replay
+stops as soon as the last one is found.
 """
 
 from __future__ import annotations

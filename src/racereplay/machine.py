@@ -2,9 +2,10 @@
 
 Scheduling draws one value per step from a splitmix64 sequence and picks
 uniformly (value mod k) among the k runnable threads in ascending thread-id
-order, so identical (program, seed, hooks) triples produce bit-identical
-event streams. A thread is runnable when it has been created, has not
-exited, its next operation can complete now and the hooks do not veto it.
+order, so identical (program, seed) pairs produce bit-identical event
+streams; hooks observe a run and never change its schedule. A thread is
+runnable when it has been created, has not exited, and its next operation
+can complete now.
 
 Thread start is an explicit synchronisation step. The machine runs each
 body with a private START pseudo-op appended after its EXIT, and a
@@ -26,46 +27,33 @@ mutex and the holder named in a deadlock report.
 
 Runnable state is kept as thread-id bitmasks (Python ints, bit t for
 thread t) and changed only by gate steps (a START, a sync op or an EXIT)
-and by a plain step that brings its thread to a gate op. Every thread
-whose next op is a wait op is filed in its object's waiter mask, and
-``blocked`` holds the waiters of objects whose count is 0. A gate step
-is one mask operation on its object's waiters: a count going from 1 to 0
-blocks them all and one going from 0 to 1 frees them. A step thus costs
-O(1) mask operations plus one hooks call per thread it releases. The
-draw indexes ``ids``, the set bits of the runnable mask in ascending
-order, built again in O(k) only when the mask changes, so a step between
-plain ops draws in O(1). Three arguments make the runnable mask the set
-a full recomputation would give at every step:
+and by a plain step that brings its thread to a gate op. ``live`` holds
+the created threads that have not exited. Every thread whose next op is a
+wait op is filed in its object's waiter mask, and ``blocked`` holds the
+waiters of objects whose count is 0; the runnable mask is ``live`` less
+``blocked``. A gate step is one mask operation on its object's waiters:
+a count going from 1 to 0 blocks them all and one going from 0 to 1
+frees them. A whole group of waiters changes state at once because
+whether a waiter can take its object depends only on the object's count,
+never on the waiter; so only a gate step on that object changes them,
+and the masks give the set a full recomputation would give at every
+step. A plain step (LOAD, STORE, ADDI, SET) never blocks and changes no
+count. The draw indexes ``ids``, the set bits of the runnable mask in
+ascending order, built again in O(k) only when the mask changes, so a
+step between plain ops draws in O(1).
 
-* A whole group of waiters changes state at once. Whether a waiter can
-  take its object depends only on the object's count, never on the
-  waiter, so all of an object's waiters block and unblock together, and
-  only a gate step on that object changes them. A plain step (LOAD,
-  STORE, ADDI, SET) never blocks and changes no count.
-* The hooks are asked only about gate ops that emit a SYNC event (a
-  START, a sync op, a joined thread's EXIT), first at the first point the
-  thread can run there: when it reaches the op with its object free, or
-  when its object frees. That is where a full recomputation would first
-  ask them, so a hook with side effects on its first refusal (the replay
-  gate's over-budget set) sees the same threads. Plain ops and an EXIT
-  that no thread joins are never vetoed.
-* The gate is monotone. An answer is kept for the thread's current op.
-  A True answer stays True until the thread steps; a False answer may
-  turn True only after a gate step, and only for the threads that
-  ``ExecutionHooks.recheck`` names, which are asked again then. The
-  default names every refused thread.
+The op semantics exist once: ``_plain`` runs a plain op and ``_step`` a
+gate op, applying its state change and its waiter-mask change. ``run``,
+the scheduler's one step loop, draws a thread and runs its next op
+through one of them, with the splitmix64 draw inlined. The replay driver
+(``replay.py``) runs the same two methods in the recorded sync order,
+with no scheduler, and asks ``_block_reason`` before each gate op.
 
 Only a run without hooks keeps its events, in ``Machine.events`` and
 ``RunResult.events``; record's run is the one such run in the package. A
 run with hooks keeps none: it passes each event to ``on_event``, and a
 caller that needs the stream keeps it there.
 
-``Machine.run`` is the one step loop. It inlines the splitmix64 draw and
-runs plain steps itself, with the machine's state in local variables and
-events built straight from tuples; only gate steps call out. ``_step``
-applies the op's state change and its waiter-mask change and reports the
-threads it frees; after ``on_event``, ``_after_gate`` asks the hooks about
-those and the rechecked threads, and brings the thread to its next op.
 With one runnable thread the draw's output is not mixed (any value mod 1
 is 0), but the state still advances, so the generator state after ``s``
 steps is ``seed + s * _GOLDEN`` mod 2**64 whichever threads ran. ``pc``,
@@ -162,33 +150,11 @@ _new_tuple = tuple.__new__
 
 
 class ExecutionHooks:
-    """Observer/veto interface; the default implementation does nothing."""
-
-    def permits(self, machine: "Machine", tid: int) -> bool:
-        """Whether the thread, which can otherwise run, may take its next step.
-
-        Asked only about gate ops that emit a SYNC event (a START, a sync
-        op, a joined thread's EXIT), first at the first point the thread
-        can run there: when it reaches the op with its object free, or
-        when the object frees. The machine keeps the answer for that op.
-        True is final until the thread steps. False is asked again only
-        after a gate step, and only if ``recheck`` names the thread; so an
-        answer may turn from False to True only through state that gate
-        steps change.
-        """
-        return True
-
-    def recheck(self, machine: "Machine", vetoed: int) -> int:
-        """Bitmask of the vetoed threads to ask again after a gate step.
-
-        ``vetoed`` has bit ``t`` set for each thread refused at its current
-        op. Naming all of them is always correct; a hooks class that knows
-        which refusals the last step can have lifted may name only those.
-        """
-        return vetoed
+    """Observer interface; the default implementation does nothing."""
 
     def on_event(self, machine: "Machine", event: Event):
-        """Return a truthy value to stop execution after this event.
+        """Called with every event. Return a truthy value to stop the run
+        after this event.
 
         A run with hooks keeps no events itself; keep here any it needs.
         """
@@ -200,7 +166,6 @@ class RunResult:
     memory: dict
     events: list
     steps: int
-    stopped: bool = False
 
 
 class _Status(IntEnum):
@@ -241,65 +206,22 @@ class Machine:
         self.steps = 0
         # Thread-id bitmasks; see the module docstring.
         self.waiters = [0] * program.n_objects  # object id -> threads waiting on it
-        self.blocked = 0    # waiting on an object whose count is 0
-        self.permitted = 0  # at a plain op, or the hooks allowed the current op
-        self.vetoed = 0     # the hooks refused the current op
+        self.blocked = 0  # waiting on an object whose count is 0
+        self.live = 1 << MAIN_THREAD  # created and not exited
 
     # -- scheduling ----------------------------------------------------------
 
-    def _ask(self, mask: int):
-        """Ask the hooks about each thread in the mask, which can all run now."""
-        hooks = self.hooks
-        if hooks is None:
-            self.permitted |= mask
-            return
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            if hooks.permits(self, low.bit_length() - 1):
-                self.permitted |= low
-            else:
-                self.vetoed |= low
-
     def _arrive(self, tid: int):
-        """Enter the thread's next op: file it under its object, ask the hooks."""
-        bit = 1 << tid
-        self.permitted &= ~bit
-        prog = self.program
+        """File a thread that has reached a wait op under its object, and
+        block it if the object's count is 0."""
         op, obj, _ = self.code[tid][self.pc[tid]]
-        if op in _PLAIN_OPS or op is _EXIT and tid not in prog.exit_obj:
-            self.permitted |= bit
-            return
         if op in _WAIT_OPS:
             if op is _JOIN:
-                obj = prog.exit_obj[obj]
+                obj = self.program.exit_obj[obj]
+            bit = 1 << tid
             self.waiters[obj] |= bit
             if not self.count[obj]:
                 self.blocked |= bit
-                return
-        self._ask(bit)
-
-    def _release(self, obj: int) -> int:
-        """Unblock the object's waiters; returns those not yet asked."""
-        freed = self.waiters[obj]
-        self.blocked &= ~freed
-        return freed & ~self.permitted & ~self.vetoed
-
-    def _after_gate(self, tid: int, ask: int) -> None:
-        """After a gate step's event: ask the hooks about the threads the
-        step freed (``ask``) and those ``recheck`` names, then bring the
-        thread to its next op."""
-        vetoed = self.vetoed  # nonzero only in a run with hooks
-        if vetoed:
-            again = self.hooks.recheck(self, vetoed) & vetoed
-            self.vetoed = vetoed & ~again
-            ask |= again & ~self.blocked
-        if ask:
-            self._ask(ask)
-        # The thread just ran, so it is permitted: a plain next op keeps it so.
-        if self.status[tid] is not _EXITED and \
-                self.code[tid][self.pc[tid]][0] not in _PLAIN_OPS:
-            self._arrive(tid)
 
     def _block_reason(self, tid: int):
         """None if the thread's next op can complete now, else a reason string."""
@@ -318,25 +240,43 @@ class Machine:
 
     def _blocked_report(self):
         return [(tid, "never created" if status is _NEW
-                 else self._block_reason(tid) or "stalled by scheduler hook")
+                 else self._block_reason(tid))
                 for tid, status in enumerate(self.status) if status is not _EXITED]
 
     # -- execution -----------------------------------------------------------
 
+    def _plain(self, tid: int, seq: int):
+        """Execute the thread's next op, a plain one: LOAD, STORE, ADDI or SET.
+
+        Returns the op's event, numbered ``seq``, or None for ADDI and
+        SET, which emit none.
+        """
+        p = self.pc[tid]
+        op, a, b = self.code[tid][p]
+        self.pc[tid] = p + 1
+        if op is _LOAD:
+            self.regs[tid][a] = self.memory.get(b, 0)
+            return _new_tuple(Event, (seq, tid, _LOAD_EVENT, b, p, -1, -1))
+        if op is _STORE:
+            self.memory[b] = self.regs[tid][a]
+            return _new_tuple(Event, (seq, tid, _STORE_EVENT, b, p, -1, -1))
+        regs = self.regs[tid]
+        regs[a] = (regs[a] + b if op is _ADDI else b) & WORD_MASK
+        return None
+
     def _step(self, tid: int, ins, seq: int):
         """Execute one gate step: START, a sync op or EXIT.
 
-        Plain steps run inline in ``run``. Applies the op's state change
-        and its change to the waiter masks. Returns the step's SYNC event,
-        numbered ``seq`` (None for an EXIT that no thread joins), and the
-        threads the step frees that the hooks have not been asked about.
+        The op must be able to complete now (``_block_reason`` is None).
+        Applies the op's state change and its change to the runnable
+        masks. Returns the step's SYNC event, numbered ``seq``, or None for
+        an EXIT that no thread joins.
         """
         prog = self.program
         op, obj, _ = ins
         bit = 1 << tid
         count, waiters = self.count, self.waiters
         ordinal = self.pc[tid]
-        ask = 0
         if op is _LOCK or op is _SEM_WAIT:
             if op is _LOCK:
                 self.mutex_owner[obj] = tid
@@ -352,45 +292,46 @@ class Machine:
                 self.mutex_owner[obj] = None
             count[obj] += 1
             if count[obj] == 1:
-                ask = self._release(obj)
+                self.blocked &= ~waiters[obj]
         elif op is _JOIN:
             obj = prog.exit_obj[obj]
             waiters[obj] &= ~bit
         elif op is _CREATE:
             self.status[obj] = _READY
-            ask = 1 << obj  # the new thread arrives at its START
+            self.live |= 1 << obj  # the new thread arrives at its START
             obj = prog.create_obj[obj]
         elif op is _EXIT:
             self.status[tid] = _EXITED
-            self.permitted &= ~bit
+            self.live &= ~bit
             obj = prog.exit_obj.get(tid)
             if obj is None:
-                return None, 0
+                return None
             count[obj] = 1
-            ask = self._release(obj)
+            self.blocked &= ~waiters[obj]
         # A START changes no state: its object is its thread's creation object.
         self.pc[tid] = ordinal + 1
         return _new_tuple(Event, (seq, tid, _SYNC_EVENT, -1, ordinal, obj,
-                                  _OP_SYNC[op])), ask
+                                  _OP_SYNC[op]))
 
     def run(self) -> RunResult:
         """Run to completion, a hook's stop request, or a deadlock.
 
-        The fused step loop; see the module docstring.
+        The scheduler's step loop; see the module docstring.
         """
-        threads, pc, regs = self.code, self.pc, self.regs
+        code, pc = self.code, self.pc
         memory, events = self.memory, self.events
         append = events.append
+        plain, step, arrive = self._plain, self._step, self._arrive
         on_event = None if self.hooks is None else self.hooks.on_event
-        live = sum(s is not _EXITED for s in self.status)
-        self._arrive(MAIN_THREAD)
-        runnable = self.permitted & ~self.blocked
+        left = sum(s is not _EXITED for s in self.status)
+        arrive(MAIN_THREAD)
+        runnable = self.live & ~self.blocked
         ids = _bit_ids(runnable)
         k = len(ids)
         rng, steps = self._rng, self.steps
         seq = 0
         try:
-            while live:
+            while left:
                 if not k:
                     raise DeadlockError(self._blocked_report(), memory, steps)
                 rng = (rng + _GOLDEN) & MASK64  # splitmix64, inlined
@@ -401,60 +342,32 @@ class Machine:
                     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
                     tid = ids[(z ^ (z >> 31)) % k]
                 steps += 1
-                body = threads[tid]
-                p = pc[tid]
-                op, a, b = ins = body[p]
-                if op is _LOAD:
-                    regs[tid][a] = memory.get(b, 0)
-                    pc[tid] = p + 1
-                    ev = _new_tuple(Event, (seq, tid, _LOAD_EVENT, b, p, -1, -1))
-                    seq += 1
-                    if on_event is None:
-                        append(ev)
-                    elif on_event(self, ev):
-                        return RunResult(memory, events, steps, stopped=True)
-                elif op is _STORE:
-                    memory[b] = regs[tid][a]
-                    pc[tid] = p + 1
-                    ev = _new_tuple(Event, (seq, tid, _STORE_EVENT, b, p, -1, -1))
-                    seq += 1
-                    if on_event is None:
-                        append(ev)
-                    elif on_event(self, ev):
-                        return RunResult(memory, events, steps, stopped=True)
-                elif op is _ADDI:
-                    r = regs[tid]
-                    r[a] = (r[a] + b) & WORD_MASK
-                    pc[tid] = p + 1
-                elif op is _SET:
-                    regs[tid][a] = b & WORD_MASK
-                    pc[tid] = p + 1
+                body = code[tid]
+                ins = body[pc[tid]]
+                if ins[0] in _PLAIN_OPS:
+                    ev = plain(tid, seq)
+                    # A plain step changes the runnable mask only when it
+                    # brings its thread to a gate op.
+                    moved = body[pc[tid]][0] not in _PLAIN_OPS
                 else:
-                    ev, ask = self._step(tid, ins, seq)
-                    if ev is not None:
-                        seq += 1
-                        if on_event is None:
-                            append(ev)
-                        elif on_event(self, ev):
-                            return RunResult(memory, events, steps, stopped=True)
-                    if op is _EXIT:
-                        live -= 1
-                    self._after_gate(tid, ask)
-                    now = self.permitted & ~self.blocked
+                    ev = step(tid, ins, seq)
+                    if ins[0] is _EXIT:
+                        left -= 1
+                    moved = True
+                if moved:
+                    if self.status[tid] is not _EXITED:
+                        arrive(tid)
+                    now = self.live & ~self.blocked
                     if now != runnable:
                         runnable = now
                         ids = _bit_ids(now)
                         k = len(ids)
-                    continue
-                # A plain step changes the runnable mask only when it brings
-                # its thread to a gate op.
-                if body[p + 1][0] not in _PLAIN_OPS:
-                    self._arrive(tid)
-                    now = self.permitted & ~self.blocked
-                    if now != runnable:
-                        runnable = now
-                        ids = _bit_ids(now)
-                        k = len(ids)
+                if ev is not None:
+                    seq += 1
+                    if on_event is None:
+                        append(ev)
+                    elif on_event(self, ev):
+                        return RunResult(memory, events, steps)
             return RunResult(memory, events, steps)
         finally:
             self._rng, self.steps = rng, steps

@@ -12,7 +12,9 @@ from operator import ge
 from .detector import RaceReport, RaceSide
 from .errors import MismatchError, RaceReplayError
 from .identify import InstructionSite
-from .program import Program
+from .program import Op, Program
+
+_ACCESS_OP = {"load": Op.LOAD, "store": Op.STORE}
 
 
 def _side_line(tag: str, side: RaceSide) -> str:
@@ -54,12 +56,14 @@ def _parse_side(value: str) -> RaceSide:
 
 
 def _parse_site(value: str, side: RaceSide, witness: int) -> InstructionSite:
-    """A site as identify writes it: an access of its side's thread, at the
-    report's witness."""
+    """A site as identify writes it: an access of its side's thread and
+    kind, at the report's witness."""
     where, kind = value.split()
     tid, ordinal = map(int, where.split(":"))
     if kind not in ("load", "store"):
         raise ValueError(f"access kind {kind!r} is neither load nor store")
+    if kind != side.kind:
+        raise ValueError(f"site {value!r} is not a {side.kind} like its side")
     if tid != side.tid:
         raise ValueError(f"site {value!r} is not on thread {side.tid}")
     if ordinal < 0:
@@ -83,8 +87,13 @@ def parse_report_record(text: str) -> RaceReport:
         side2 = _parse_side(fields["t2"])
         if side1.tid == side2.tid:
             raise ValueError(f"both sides on thread {side1.tid}")
+        if side1.kind == side2.kind == "load":
+            raise ValueError("both sides load; a race needs a store")
         if any(map(ge, witnesses, witnesses[1:])):
             raise ValueError("witnesses not strictly ascending")
+        if "witness" in fields and int(fields["witness"], 16) != witnesses[0]:
+            raise ValueError(f"witness={fields['witness']} is not the first "
+                             f"of witnesses=")
         if ("i1" in fields) != ("i2" in fields):
             raise ValueError("one of i1 and i2 without the other")
         instructions = None
@@ -114,6 +123,10 @@ def report_human_text(report: RaceReport, program: Program) -> str:
                     and site.ordinal < len(program.threads[site.tid])):
                 raise MismatchError(f"site {site} is not an instruction "
                                     f"of this program")
+            op, _, address = program.threads[site.tid][site.ordinal]
+            if op is not _ACCESS_OP[site.kind] or address != site.address:
+                raise MismatchError(f"site {site} is not a {site.kind} of "
+                                    f"0x{site.address:08X} in this program")
             text = program.instruction_text(site.tid, site.ordinal)
             lines.append(f"  thread {site.tid} instruction {site.ordinal}:"
                          f"  {text}  ({site.kind} 0x{site.address:08X})")

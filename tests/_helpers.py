@@ -2,8 +2,6 @@
 
 from racereplay.detector import DetectorListener
 from racereplay.machine import EventKind, ExecutionHooks
-from racereplay.program import parse_program
-from racereplay.record import record_execution
 from racereplay.replay import replay_execution
 
 
@@ -18,7 +16,7 @@ TWO_RACES = ("mutex m\n"
              "  LOCK m\n  UNLOCK m\n  SET r1 3\n  STORE r1 0x00000200\n  EXIT\n")
 
 
-def replay_events(program, trace, replay_seed=0):
+def replay_events(program, trace):
     """Replay collecting the full event stream; returns (events, result)."""
     events = []
 
@@ -26,16 +24,8 @@ def replay_events(program, trace, replay_seed=0):
         events.append(event)
         return False
 
-    result = replay_execution(program, trace, observer=keep,
-                              replay_seed=replay_seed)
+    result = replay_execution(program, trace, observer=keep)
     return events, result
-
-
-def record_and_replay(text, seed, replay_seed=0):
-    program = parse_program(text)
-    rec = record_execution(program, seed)
-    events, result = replay_events(program, rec.trace, replay_seed)
-    return program, rec, events, result
 
 
 def per_object_sync_sequences(events):
@@ -48,15 +38,10 @@ def per_object_sync_sequences(events):
 
 
 class CountingHooks(ExecutionHooks):
-    """Permits every step; counts how often it was asked and the SYNC events."""
+    """Counts the SYNC events of a run."""
 
     def __init__(self):
-        self.permits_calls = 0
         self.sync_events = 0
-
-    def permits(self, machine, tid):
-        self.permits_calls += 1
-        return True
 
     def on_event(self, machine, event):
         self.sync_events += event.kind is EventKind.SYNC

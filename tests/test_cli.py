@@ -230,8 +230,29 @@ def test_parsed_site_past_the_program_is_refused(edits, site):
         report_human_text(report, program)
 
 
+@pytest.mark.parametrize("edits, site", [
+    ([("i1=1:2 store", "i1=1:0 store")], "1:0 store"),
+    ([("t1=1 seg=1 kind=store", "t1=1 seg=1 kind=load"),
+      ("i1=1:2 store", "i1=1:2 load")], "1:2 load"),
+])
+def test_parsed_site_of_the_wrong_access_is_refused(edits, site):
+    # Instruction 1:0 of the shared counter is its LOAD of the witness, and
+    # 1:2 its STORE: a site must be an access of its own kind at the
+    # report's witness, or printing it would name the wrong instruction.
+    program = parse_program(workloads.shared_counter())
+    text = GARBLED_SITE_REPORT.replace("i1=garbage", "i1=1:2 store")
+    for find, replace in edits:
+        assert find in text
+        text = text.replace(find, replace)
+    report = parse_report_record(text)
+    with pytest.raises(RaceReplayError,
+                       match=f"site {site} is not a {site[4:]} of 0x00001000"):
+        report_human_text(report, program)
+
+
 @pytest.mark.parametrize("find, replace, message", [
     ("i1=1:2 store", "i1=1:2 banana", "neither load nor store"),
+    ("i1=1:2 store", "i1=1:2 load", "not a store like its side"),
     ("i1=1:2 store", "i1=2:2 store", "not on thread 1"),
     ("i2=2:2 store", "i2=-2:2 store", "not on thread 2"),
     ("i1=1:2 store", "i1=1:-2 store", "negative ordinal"),
@@ -262,6 +283,9 @@ TWO_RACES_REPORT = ("witness=0x00000100\nwitnesses=0x00000100\n"
      "not strictly ascending"),
     ("witnesses=0x00000100", "witnesses=0x00000100,0x00000100",
      "not strictly ascending"),
+    ("kind=store", "kind=load", "both sides load"),
+    ("witness=0x00000100", "witness=0x00000200",
+     "witness=0x00000200 is not the first of witnesses="),
 ])
 def test_identify_refuses_a_report_detect_never_writes(
         find, replace, message, tmp_path, capsys):
@@ -444,19 +468,19 @@ def test_argparse_usage_error_exits_1(argv, racy, capsys):
 
 
 def test_identify_takes_no_replay_seed(racy, tmp_path, capsys):
-    # Identify's answer does not depend on the replay seed, so it has none;
-    # the commands whose counts it moves keep it.
+    # Replay draws no random values, so no command takes a replay seed:
+    # passing one is a usage error, exit 1.
     trace, report = str(tmp_path / "s.trace"), str(tmp_path / "s.report")
     assert main(["record", racy, "--seed", "3", "-o", trace]) == 0
-    assert main(["detect", racy, "--trace", trace, "--report", report,
-                 "--replay-seed", "1"]) == 10
+    assert main(["detect", racy, "--trace", trace, "--report", report]) == 10
     capsys.readouterr()
-    assert main(["identify", racy, "--trace", trace, "--report", report,
-                 "--replay-seed", "1"]) == 1
-    assert "unrecognized arguments: --replay-seed 1" in capsys.readouterr().err
-    assert main(["replay", racy, "--trace", trace, "--replay-seed", "1"]) == 0
-    assert main(["pipeline", racy, "--replay-seed", "1",
-                 "--out-prefix", str(tmp_path / "p")]) == 10
+    for argv in (["identify", racy, "--trace", trace, "--report", report],
+                 ["replay", racy, "--trace", trace],
+                 ["detect", racy, "--trace", trace],
+                 ["pipeline", racy, "--out-prefix", str(tmp_path / "p")]):
+        assert main(argv + ["--replay-seed", "1"]) == 1
+        assert "unrecognized arguments: --replay-seed 1" in \
+            capsys.readouterr().err
 
 
 def test_console_script_entry_point(racy):

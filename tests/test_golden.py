@@ -4,7 +4,7 @@ One SHA-256 over a fixed corpus and seed set covers trace bytes, recorded
 events, final memory and step counts; detect status, stats, reports and
 replay results in first-race, all-races and probe modes; deadlock reports;
 and one divergent replay per program. Any change to the scheduler's draw
-rule, the replay gate or the detector's verdicts changes the digest.
+rule, the replay order or the detector's verdicts changes the digest.
 
 The constant was captured before the scheduler kept its runnable list
 from step to step, so it pins that change to the earlier per-step
@@ -38,6 +38,21 @@ at seed 3, none at seed 0), the order of all-races reports, and the
 counts and replay steps that follow from the interleaving. On the 500
 programs of acceptance criterion 2, every all-races report set was also
 the same, and 21 first races moved, each still equal to the oracle's.
+
+All four constants were captured again when replay dropped the machine's
+scheduler for one sequential driver that runs each thread's memory steps
+as soon as its last sync op has run, and lost its replay seed; detect
+then ran once per mode here instead of once per mode and seed. A
+record-only digest over both corpora (trace bytes, events, memory, steps
+and deadlock reports) was the same before and after it. Against the
+earlier replay at seed 0, over both corpora (114 program and seed pairs,
+first-race and all-races), every status, every report in order,
+identify's sites, ``segments_created`` and ``segments_compared`` were the
+same. What moved follows from where the driver stops and how early a
+thread's last access comes: first-race ``mem_events`` rose in 23 runs,
+``segments_discarded`` rose in 3, and ``segments_max_live`` fell in 6
+and rose in none; the replay steps of stopped runs and the wording of
+the divergent replay's detail moved too.
 """
 
 import hashlib
@@ -54,14 +69,14 @@ from racereplay.record import record_execution
 from racereplay.replay import replay_execution
 from racereplay.tracefile import SyncTrace
 
-GOLDEN = "4f200c9f0e2e28d52d69f0a4e6b09dceb73dbb685b270cdd55a6c15339b5437a"
-GOLDEN_CONTENDED = "cbf0c8c59edf99276a20e5bf2f11d2865a734b8b2ba9b9d08c1e62714758680c"
+GOLDEN = "8a6ee34e7981db1a40c3cd1f8da44d78e590a484e7727dda7503a60bab2a3562"
+GOLDEN_CONTENDED = "8a2de539dc189927a1898e9b8c1acf44f2b10409c1b291e066a41638a60e1e07"
 # The same two corpora with the snooped discard's own counts masked. They
 # pin a change of the snooped discard to the verdicts, reports, scan
 # counts and logical-horizon rows bit for bit.
-GOLDEN_MASKED = "35b599a06258cc14fbf8aa826d8d66b623ceb1d389fab9d660f16094703023a0"
+GOLDEN_MASKED = "9475a6d9719a9dab0e0a025f5d51df4049e4928664412cf12330a1ac80640677"
 GOLDEN_CONTENDED_MASKED = (
-    "4bf8ba83b5664f309efd4c5d49da76659f5543fdc62e059f4cedb3419565d7b6")
+    "b0179a5a201f1f814d89753955a6ee5512a2d91d4a132c0a2de05fdd3c9c4633")
 
 SEEDS = (0, 1, 7)
 
@@ -163,12 +178,9 @@ def behaviour(text, seed, masked=False):
     except DeadlockError as dead:
         return ("deadlock", dead.blocked, dead.steps)
     out = [rec.trace.to_bytes(), _ints(rec.events), _mem(rec.memory), rec.steps]
-    for replay_seed in (0, 3):
-        for all_races in (False, True):
-            out.append(_detect_fields(detect(program, rec.trace,
-                                             all_races=all_races,
-                                             replay_seed=replay_seed), [],
-                                      masked))
+    for all_races in (False, True):
+        out.append(_detect_fields(detect(program, rec.trace,
+                                         all_races=all_races), [], masked))
     probe = LiveSegmentProbe(program)
     out.append(_detect_fields(detect(program, rec.trace, listener=probe),
                               probe.rows, masked))

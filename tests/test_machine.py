@@ -164,40 +164,27 @@ def test_unlock_held_by_another_thread_is_machine_error():
         assert machine.steps == 4  # LOCK, CREATE, START, UNLOCK
 
 
-class _Refuse(ExecutionHooks):
-    def __init__(self, tids):
-        self.tids = tids
-
-    def permits(self, machine, tid):
-        return tid not in self.tids
-
-
-@pytest.mark.parametrize("text, refused, blocked", [
+@pytest.mark.parametrize("text, blocked", [
     ("mutex m\nthread 0:\n  LOCK m\n  CREATE 1\n  JOIN 1\n  EXIT\n"
-     "thread 1:\n  LOCK m\n  EXIT\n", (),
+     "thread 1:\n  LOCK m\n  EXIT\n",
      [(0, "joining thread 1 (not exited)"),
       (1, "waiting for mutex:m held by thread 0")]),
-    ("mutex m\nthread 0:\n  LOCK m\n  LOCK m\n  EXIT\n", (),
+    ("mutex m\nthread 0:\n  LOCK m\n  LOCK m\n  EXIT\n",
      [(0, "waiting for mutex:m held by itself")]),
-    ("sem s 0\nthread 0:\n  SEM_WAIT s\n  EXIT\n", (),
+    ("sem s 0\nthread 0:\n  SEM_WAIT s\n  EXIT\n",
      [(0, "waiting on sem:s (count 0)")]),
     ("sem s 0\nthread 0:\n  CREATE 1\n  JOIN 1\n  EXIT\n"
-     "thread 1:\n  SEM_WAIT s\n  EXIT\n", (),
+     "thread 1:\n  SEM_WAIT s\n  EXIT\n",
      [(0, "joining thread 1 (not exited)"), (1, "waiting on sem:s (count 0)")]),
     ("sem s 0\nthread 0:\n  SEM_WAIT s\n  CREATE 1\n  EXIT\n"
-     "thread 1:\n  EXIT\n", (),
+     "thread 1:\n  EXIT\n",
      [(0, "waiting on sem:s (count 0)"), (1, "never created")]),
-    ("mutex m\nthread 0:\n  LOCK m\n  UNLOCK m\n  EXIT\n", (0,),
-     [(0, "stalled by scheduler hook")]),
-    ("thread 0:\n  CREATE 1\n  JOIN 1\n  EXIT\nthread 1:\n  EXIT\n", (1,),
-     [(0, "joining thread 1 (not exited)"), (1, "stalled by scheduler hook")]),
 ])
-def test_deadlock_reasons(text, refused, blocked):
-    # One minimal program per reason a thread can be reported blocked;
-    # the last refuses a created thread at its START.
+def test_deadlock_reasons(text, blocked):
+    # One minimal program per reason a thread can be reported blocked.
     for seed in (0, 1, 2):
         with pytest.raises(DeadlockError) as err:
-            run(parse_program(text), seed, _Refuse(refused) if refused else None)
+            run(parse_program(text), seed)
         assert err.value.blocked == blocked
 
 
@@ -284,12 +271,13 @@ def test_exit_event_only_for_join_targets():
     assert exits == [1]
 
 
-def test_scheduler_rechecks_threads_only_at_sync_points():
+def test_scheduler_rechecks_threads_only_at_sync_points(monkeypatch):
     # Main forks 8 workers that each make 500 memory ops, then joins them.
-    # The hooks are asked only about gate ops that emit a SYNC event (START,
-    # sync ops, a joined thread's EXIT), never about the memory steps between
-    # them or main's unjoined EXIT. CountingHooks never refuses, so each such
-    # op is asked about exactly once.
+    # The scheduler files a thread's runnable state (``_arrive``) only at
+    # gate ops, never between the memory steps: once for main at the start,
+    # once after each gate step that leaves its thread live (every SYNC
+    # event but the 8 joined EXITs), and once when a worker's last memory
+    # step brings it to its EXIT.
     workers = 8
     lines = ["thread 0:"]
     lines += [f"  CREATE {t}" for t in range(1, workers + 1)]
@@ -301,11 +289,20 @@ def test_scheduler_rechecks_threads_only_at_sync_points():
         lines += [f"  LOAD r0 {addr}\n  STORE r0 {addr}"] * 250
         lines.append("  EXIT")
     prog = parse_program("\n".join(lines) + "\n")
+    arrivals = 0
+    arrive = Machine._arrive
+
+    def counted(self, tid):
+        nonlocal arrivals
+        arrivals += 1
+        return arrive(self, tid)
+
+    monkeypatch.setattr(Machine, "_arrive", counted)
     hooks = CountingHooks()
     res = run(prog, 5, hooks)
     syncs = hooks.sync_events
     assert res.steps == workers * 500 + syncs + 1  # main's EXIT emits no event
-    assert hooks.permits_calls == syncs
+    assert arrivals == 1 + (syncs - workers) + workers
 
 
 def test_draw_list_is_rebuilt_only_at_gate_ops(monkeypatch):

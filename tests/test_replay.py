@@ -1,37 +1,29 @@
 """Replay: fidelity for race-free programs, divergence signalling."""
 
 import tracemalloc
-from functools import partial
-from importlib import import_module
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import CountingHooks, per_object_sync_sequences, replay_events
+from _helpers import per_object_sync_sequences, replay_events
 
 import racereplay.replay as replay_mod
 from racereplay import workloads
-from racereplay.detector import detect
 from racereplay.errors import MismatchError
 from racereplay.generator import generate_program
-from racereplay.identify import identify_all
-from racereplay.machine import EventKind, run
-from racereplay.program import parse_program
+from racereplay.machine import EventKind
+from racereplay.program import MAIN_THREAD, parse_program
 from racereplay.record import record_execution
 from racereplay.replay import DIVERGED, OK, _ReplayHooks, replay_execution
 from racereplay.tracefile import SyncTrace
-
-# The package re-exports the function ``identify`` under the module's name.
-identify_mod = import_module("racereplay.identify")
 
 
 def test_race_free_replay_matches_record():
     prog = parse_program(workloads.shared_counter(locked=True))
     for seed in range(10):
         rec = record_execution(prog, seed)
-        events, result = replay_events(prog, rec.trace, replay_seed=99)
+        events, result = replay_events(prog, rec.trace)
         assert result.verdict == OK
         assert result.memory[0x1000] == 18
         assert (per_object_sync_sequences(events)
@@ -44,7 +36,7 @@ def test_generated_race_free_fidelity():
                                 ops_per_thread=20 + i, lock_density=1.0)
         prog = parse_program(text)
         rec = record_execution(prog, seed=i)
-        events, result = replay_events(prog, rec.trace, replay_seed=7)
+        events, result = replay_events(prog, rec.trace)
         assert result.verdict == OK
         assert result.memory == rec.memory
         assert (per_object_sync_sequences(events)
@@ -70,8 +62,8 @@ def test_digest_mismatch_rejected():
 def test_replay_determinism():
     prog = parse_program(workloads.shared_counter())
     rec = record_execution(prog, 11)
-    a, ra = replay_events(prog, rec.trace, replay_seed=5)
-    b, rb = replay_events(prog, rec.trace, replay_seed=5)
+    a, ra = replay_events(prog, rec.trace)
+    b, rb = replay_events(prog, rec.trace)
     assert a == b
     assert ra.memory == rb.memory
 
@@ -90,7 +82,8 @@ def test_crafted_unreachable_order_diverges():
                       stamps=[[1, 2], [3, 4]])
     result = replay_execution(prog, trace)
     assert result.verdict == DIVERGED
-    assert "stuck" in result.detail
+    assert result.detail == ("thread 0 stuck at recorded stamp 2: "
+                             "joining thread 1 (not exited)")
 
 
 def test_crafted_extra_recorded_ops_diverge():
@@ -105,48 +98,52 @@ def test_crafted_extra_recorded_ops_diverge():
 
 def test_crafted_missing_recorded_ops_diverge():
     # Trace records only one sync op for the child; its EXIT goes over
-    # budget, the parent can never join, and the replay reports the stall.
+    # budget, the parent can never join, and the replay reports the stall
+    # and the thread past its count.
     prog = _two_thread_program()
     trace = SyncTrace(seed=0, digest=prog.digest(), stamps=[[1, 3], [2]])
     result = replay_execution(prog, trace)
     assert result.verdict == DIVERGED
-    assert "past recorded sync count" in result.detail
+    assert result.detail == ("thread 0 stuck at recorded stamp 3: joining "
+                             "thread 1 (not exited); threads past recorded "
+                             "sync count: 1")
 
 
-def test_equal_stamps_may_run_any_order():
-    # Two workers lock distinct mutexes: their op stamps coincide. Ties run
-    # in thread-id order, so the replay completes under any replay seed and
-    # its sync order is the same under each.
-    text = ("mutex m\nmutex n\n"
-            "thread 0:\n  CREATE 1\n  CREATE 2\n  JOIN 1\n  JOIN 2\n  EXIT\n"
-            "thread 1:\n  LOCK m\n  UNLOCK m\n  EXIT\n"
-            "thread 2:\n  LOCK n\n  UNLOCK n\n  EXIT\n")
-    prog = parse_program(text)
-    rec = record_execution(prog, 1)
-    orders = set()
-    for replay_seed in range(6):
-        events, result = replay_events(prog, rec.trace, replay_seed)
-        assert result.verdict == OK
-        orders.add(tuple((ev.tid, ev.obj, ev.sync) for ev in events
-                         if ev.kind is EventKind.SYNC))
-    assert len(orders) == 1
+@pytest.mark.parametrize("stamps, detail", [
+    ([[2, 4], [1, 3]], "thread 1 stuck at recorded stamp 1: not created"),
+    ([[1, 4, 5], [2, 3]], "thread 0 stuck at recorded stamp 5: no sync op "
+     "left (1 recorded sync ops never executed)"),
+])
+def test_frontier_thread_without_its_op_diverges(stamps, detail):
+    # The smallest pair is the child's START before main has created it,
+    # or a stamp for main once only its unjoined EXIT, which emits no
+    # event, is left.
+    prog = _two_thread_program()
+    trace = SyncTrace(seed=0, digest=prog.digest(), stamps=stamps)
+    result = replay_execution(prog, trace)
+    assert result.verdict == DIVERGED
+    assert result.detail == detail
+
+
+def test_sync_op_past_the_recorded_count_diverges():
+    # The trace ends every stamp with the child still at its EXIT, a sync op
+    # it has no stamp for; the parent's JOIN has none either.
+    prog = _two_thread_program()
+    trace = SyncTrace(seed=0, digest=prog.digest(), stamps=[[1], [2]])
+    result = replay_execution(prog, trace)
+    assert result.verdict == DIVERGED
+    assert result.detail == "threads past recorded sync count: 0, 1"
 
 
 @pytest.mark.parametrize("threads, ops", [(16, 200), (64, 100)])
 def test_gate_work_is_bounded_by_sync_ops(monkeypatch, threads, ops):
-    # The hooks are asked when a thread first can run at a gate op and
-    # again only when its refusal may have been lifted: a lock's release,
-    # or the replay frontier reaching the thread's stamp. So the asks stay
-    # within a few per sync op, however many threads wait on each lock.
+    # The driver asks the gate once per op that emits a SYNC event, however
+    # many threads wait on each lock and however many memory steps lie
+    # between: an OK replay asks exactly as often as it emits SYNC events.
     prog = parse_program(generate_program(3, threads=threads,
                                           ops_per_thread=ops,
                                           lock_density=1.0))
     rec = record_execution(prog, 1)
-    bound = 3 * rec.sync_ops + prog.n_threads
-    counting = CountingHooks()
-    run(prog, 1, counting)
-    assert counting.permits_calls <= bound
-
     calls = 0
     permits = _ReplayHooks.permits
 
@@ -156,36 +153,38 @@ def test_gate_work_is_bounded_by_sync_ops(monkeypatch, threads, ops):
         return permits(self, machine, tid)
 
     monkeypatch.setattr(_ReplayHooks, "permits", counted)
-    assert replay_execution(prog, rec.trace).verdict == OK
-    assert calls <= bound
+    events, result = replay_events(prog, rec.trace)
+    assert result.verdict == OK
+    syncs = sum(ev.kind is EventKind.SYNC for ev in events)
+    assert syncs == rec.sync_ops
+    assert calls == syncs
 
 
-def test_recheck_hands_back_only_threads_at_the_frontier(monkeypatch):
-    # Only the frontier thread may run, so recheck hands back at most one
-    # thread, and that thread's next recorded stamp, packed with its tid,
-    # is the heap top; an OK replay ends with the heap empty. Each program
-    # is replayed under its honest trace and under one with a stamp
-    # raised, which makes threads wait that would otherwise run.
+def test_heap_top_is_always_the_next_pair_run(monkeypatch):
+    # Every SYNC event of a replay is the heap top's: its thread's next
+    # recorded stamp, packed with its tid. An OK replay ends with the heap
+    # empty. Each program is replayed under its honest trace and under one
+    # with a stamp raised, which makes threads wait that would otherwise
+    # run.
     gates = []
-    handed = 0
+    checked = 0
 
     class Checked(_ReplayHooks):
         def __init__(self, stamps, observer):
             super().__init__(stamps, observer)
             gates.append(self)
 
-        def recheck(self, machine, vetoed):
-            nonlocal handed
-            due = super().recheck(machine, vetoed)
-            assert due & (due - 1) == 0  # at most one bit
-            if due:
-                tid = due.bit_length() - 1
+        def on_event(self, machine, event):
+            nonlocal checked
+            if event.kind is EventKind.SYNC:
+                tid = event.tid
                 stamp = self.stamps[tid][self.done[tid]]
                 assert stamp * len(self.stamps) + tid == self.heads[0]
-                handed += 1
-            return due
+                checked += 1
+            return super().on_event(machine, event)
 
     monkeypatch.setattr(replay_mod, "_ReplayHooks", Checked)
+    raised_ok = 0
     for i in range(40):
         prog = parse_program(generate_program(seed=700 + i, threads=2 + i % 6,
                                               ops_per_thread=30,
@@ -197,12 +196,13 @@ def test_recheck_hands_back_only_threads_at_the_frontier(monkeypatch):
         for stamps in (rec.trace.stamps, raised):
             trace = SyncTrace(seed=i, digest=rec.trace.digest, stamps=stamps)
             gates.clear()
-            result = replay_execution(prog, trace, replay_seed=i)
+            result = replay_execution(prog, trace)
             assert result.verdict == OK or stamps is raised
             if result.verdict == OK:
                 assert gates[0].heads == []
-                assert gates[0].frontier is None
-    assert handed > 0
+                raised_ok += stamps is raised
+    assert checked > 0
+    assert raised_ok > 0
 
 
 def test_gate_state_is_bounded_by_threads():
@@ -228,23 +228,28 @@ def test_gate_state_is_bounded_by_threads():
        ops=st.integers(8, 60),
        density=st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0)),
        shared=st.integers(1, 6), record_seed=st.integers(0, 2**16))
-def test_reports_do_not_depend_on_the_replay_seed(seed, threads, ops, density,
-                                                  shared, record_seed):
-    # Sync ops replay in (stamp, tid) order whatever the seed, and the seed
-    # moves only memory and register steps, which no report depends on.
-    # Identify's own replay is run under each seed too.
+def test_replay_runs_the_trace_order_eagerly(seed, threads, ops, density,
+                                            shared, record_seed):
+    # Sync ops replay in the trace's sorted (stamp, tid) order, ties by
+    # thread id. Each memory event directly follows its own thread's last
+    # gate op or memory event, with no other thread's event between: a
+    # thread runs its memory ops as soon as its last sync op has run. A
+    # race-free program ends with record's memory.
     prog = parse_program(generate_program(seed, threads=threads,
                                           ops_per_thread=ops,
                                           lock_density=density,
                                           shared_addresses=shared))
-    trace = record_execution(prog, record_seed).trace
-    outcomes = set()
-    for replay_seed in range(4):
-        first = detect(prog, trace, replay_seed=replay_seed)
-        every = detect(prog, trace, all_races=True, replay_seed=replay_seed)
-        seeded = partial(replay_execution, replay_seed=replay_seed)
-        with mock.patch.object(identify_mod, "replay_execution", seeded):
-            sites = identify_all(prog, trace, every.reports)
-        outcomes.add((first.status, repr(first.reports),
-                      every.status, repr(every.reports), repr(sites)))
-    assert len(outcomes) == 1
+    rec = record_execution(prog, record_seed)
+    events, result = replay_events(prog, rec.trace)
+    assert result.verdict == OK
+    order = sorted((stamp, tid) for tid, stamps in enumerate(rec.trace.stamps)
+                   for stamp in stamps)
+    assert [ev.tid for ev in events if ev.kind is EventKind.SYNC] == \
+        [tid for _, tid in order]
+    previous = MAIN_THREAD
+    for ev in events:
+        if ev.kind is not EventKind.SYNC:
+            assert ev.tid == previous
+        previous = ev.tid
+    if density == 1.0:
+        assert result.memory == rec.memory

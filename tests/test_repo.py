@@ -1,8 +1,9 @@
 """Repository hygiene: git tracks no file that .gitignore marks as
 generated, no module imports a name it never reads, every function under
 ``src/`` is used somewhere, every defaulted parameter of one is passed
-somewhere and left out somewhere, and every dataclass field under
-``src/`` is read somewhere."""
+somewhere and left out somewhere, every dataclass field under ``src/``
+is read somewhere, and every method under ``src/`` is referred to as an
+attribute somewhere."""
 
 import ast
 import shutil
@@ -361,3 +362,48 @@ def test_unread_field_check_counts_loads_of_dataclass_fields_only():
                      "x, = C(3)\n")
     assert _unread_fields({"m": source}, {"u": user}) == [
         ("m", 6, "A", "stored"), ("m", 7, "A", "named"), ("m", 10, "B", "unread")]
+
+
+def _unreferenced_methods(sources, users) -> list:
+    """(source, line, class, method) of each method defined in a class in
+    ``sources`` whose name no module of ``sources`` or ``users`` loads as
+    an attribute or names in a string constant (``getattr`` and
+    ``monkeypatch.setattr`` name methods so). A method is called through
+    an attribute, so a bare name of a function of the same name does not
+    count. Dunder methods are called implicitly and skipped."""
+    named = set()
+    for tree in {**users, **sources}.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                named.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                named.add(node.value)
+    return sorted((label, item.lineno, node.name, item.name)
+                  for label, tree in sources.items()
+                  for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                  for item in node.body
+                  if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and item.name not in named
+                  and not (item.name.startswith("__")
+                           and item.name.endswith("__")))
+
+
+def test_every_method_under_src_is_referenced():
+    users = {**_parsed("tests"), **_parsed("perfbench")}
+    assert _unreferenced_methods(_parsed("src"), users) == []
+
+
+def test_unreferenced_method_check_counts_attribute_loads_and_strings():
+    source = ast.parse(
+        "class A:\n"
+        "    def __init__(self): self.used()\n"
+        "    def used(self): pass\n"
+        "    def named(self): pass\n"
+        "    def bare(self): pass\n"
+        "    def unused(self): pass\n"
+        "def bare(): pass\n"
+        "bare()\n")
+    user = ast.parse("setattr(A, 'named', None)\n"
+                     "A().unused = None\n")
+    assert _unreferenced_methods({"m": source}, {"u": user}) == [
+        ("m", 5, "A", "bare"), ("m", 6, "A", "unused")]
