@@ -1,6 +1,9 @@
 """Replay: fidelity for race-free programs, divergence signalling."""
 
 import tracemalloc
+from functools import partial
+from importlib import import_module
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -10,13 +13,20 @@ from _helpers import per_object_sync_sequences, replay_events
 
 import racereplay.replay as replay_mod
 from racereplay import workloads
+from racereplay.detector import detect
 from racereplay.errors import MismatchError
 from racereplay.generator import generate_program
+from racereplay.identify import identify_all
 from racereplay.machine import EventKind
 from racereplay.program import MAIN_THREAD, parse_program
 from racereplay.record import record_execution
 from racereplay.replay import DIVERGED, OK, _ReplayHooks, replay_execution
 from racereplay.tracefile import SyncTrace
+
+# The package re-exports the functions ``detect`` and ``identify`` under
+# their modules' names.
+detector_mod = import_module("racereplay.detector")
+identify_mod = import_module("racereplay.identify")
 
 
 def test_race_free_replay_matches_record():
@@ -107,6 +117,34 @@ def test_crafted_missing_recorded_ops_diverge():
     assert result.detail == ("thread 0 stuck at recorded stamp 3: joining "
                              "thread 1 (not exited); threads past recorded "
                              "sync count: 1")
+
+
+def test_equal_stamps_may_run_any_order():
+    # Two workers lock distinct mutexes: their op stamps coincide. Ties run
+    # in thread-id order, so the replay completes and its sync order is
+    # the same under every ``replay_seed``, which the driver ignores.
+    text = ("mutex m\nmutex n\n"
+            "thread 0:\n  CREATE 1\n  CREATE 2\n  JOIN 1\n  JOIN 2\n  EXIT\n"
+            "thread 1:\n  LOCK m\n  UNLOCK m\n  EXIT\n"
+            "thread 2:\n  LOCK n\n  UNLOCK n\n  EXIT\n")
+    prog = parse_program(text)
+    rec = record_execution(prog, 1)
+    assert set(rec.trace.stamps[1]) & set(rec.trace.stamps[2])
+    orders = set()
+    for replay_seed in range(6):
+        events = []
+        result = replay_execution(prog, rec.trace,
+                                  observer=lambda m, ev: events.append(ev),
+                                  replay_seed=replay_seed)
+        assert result.verdict == OK
+        orders.add(tuple((ev.tid, ev.obj, ev.sync) for ev in events
+                         if ev.kind is EventKind.SYNC))
+    assert len(orders) == 1
+    (order,) = orders
+    assert [tid for tid, _, _ in order] == [
+        tid for _, tid in sorted((stamp, tid) for tid, stamps
+                                 in enumerate(rec.trace.stamps)
+                                 for stamp in stamps)]
 
 
 @pytest.mark.parametrize("stamps, detail", [
@@ -253,3 +291,31 @@ def test_replay_runs_the_trace_order_eagerly(seed, threads, ops, density,
         previous = ev.tid
     if density == 1.0:
         assert result.memory == rec.memory
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32), threads=st.integers(2, 5),
+       ops=st.integers(8, 60),
+       density=st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0)),
+       shared=st.integers(1, 6), record_seed=st.integers(0, 2**16))
+def test_reports_do_not_depend_on_the_replay_seed(seed, threads, ops, density,
+                                                  shared, record_seed):
+    # ``replay_execution`` still takes a ``replay_seed`` keyword and ignores
+    # it. Detection and identify's replay, each run with the keyword set,
+    # give the same statuses, reports and sites under every seed.
+    prog = parse_program(generate_program(seed, threads=threads,
+                                          ops_per_thread=ops,
+                                          lock_density=density,
+                                          shared_addresses=shared))
+    trace = record_execution(prog, record_seed).trace
+    outcomes = set()
+    for replay_seed in range(4):
+        seeded = partial(replay_execution, replay_seed=replay_seed)
+        with mock.patch.object(detector_mod, "replay_execution", seeded), \
+                mock.patch.object(identify_mod, "replay_execution", seeded):
+            first = detect(prog, trace)
+            every = detect(prog, trace, all_races=True)
+            sites = identify_all(prog, trace, every.reports)
+        outcomes.add((first.status, repr(first.reports),
+                      every.status, repr(every.reports), repr(sites)))
+    assert len(outcomes) == 1
