@@ -552,7 +552,7 @@ def detect(program: Program, trace: SyncTrace, *, all_races: bool = False,
     state = _DetectorState(program, all_races=all_races, gc=gc,
                            listener=listener)
     replay = replay_execution(program, trace, observer=state.on_event)
-    if replay.verdict != STOPPED or all_races:
+    if replay.verdict != STOPPED:
         state.finish()
     if state.reports:
         status = RACE

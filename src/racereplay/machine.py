@@ -49,6 +49,14 @@ through one of them, with the splitmix64 draw inlined. The replay driver
 (``replay.py``) runs the same two methods in the recorded sync order,
 with no scheduler, and asks ``_block_reason`` before each gate op.
 
+Every gate op but an EXIT that no thread joins emits exactly one SYNC
+event, and a body runs each of its ops at most once, START first. So a
+thread's SYNC events in a complete run are exactly
+``Program.static_sync_counts()``, and a thread that has emitted fewer
+and stands at a gate op stands at one that emits a SYNC event. The
+replay driver checks a trace's counts against that figure before it
+runs, and needs no per-thread budget afterwards.
+
 Only a run without hooks keeps its events, in ``Machine.events`` and
 ``RunResult.events``; record's run is the one such run in the package. A
 run with hooks keeps none: it passes each event to ``on_event``, and a

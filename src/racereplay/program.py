@@ -76,11 +76,13 @@ class Program:
         return len(self.obj_names)
 
     def static_sync_counts(self) -> list:
-        """Per thread, the most sync events a run can emit for it.
+        """Per thread, the sync events a complete run emits for it.
 
         That is one per sync instruction, plus START for a created thread
         and EXIT for a join target. Bodies are straight-line, so each
-        instruction runs at most once.
+        instruction runs exactly once in a complete run, and the count is
+        exact, not only a bound. Replay relies on that: it refuses, before
+        it runs anything, a trace whose per-thread counts differ.
         """
         return [sum(ins.op in OBJECT_OPS or ins.op in THREAD_OPS for ins in body)
                 + (tid != MAIN_THREAD) + (tid in self.exit_obj)

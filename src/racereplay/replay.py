@@ -17,12 +17,21 @@ detector's discard horizon, at the earliest point the sync order allows:
 no segment stays live because a thread's last accesses wait to be
 scheduled.
 
-The verdict is DIVERGED when the op at the smallest pair cannot complete
-(the detail names its thread, recorded stamp and the reason it blocks),
-when that thread has no sync op left to run, or when a thread reaches a
-sync op past its recorded count. Observers see every event and may stop
-the run early; an observer stop is reported as STOPPED and is not a
-divergence.
+Before anything runs, each thread's recorded sync-op count is checked
+against ``Program.static_sync_counts()``, which is exact for a complete
+run because bodies are straight-line code. A trace whose counts differ is
+DIVERGED at once, with no step run. With the counts equal, the driver
+needs no budget of its own. A live thread is always at a gate op, and
+while a thread has done fewer sync ops than its count, that gate op
+emits one. So the thread at the smallest pair always has its op left:
+the op either completes, or the thread is not yet created, or the op
+blocks (``_block_reason``), and each refusal is DIVERGED with the
+thread, its recorded stamp and that reason in the detail. Once every
+pair has run, every thread has run all its sync ops, and each live
+thread is at an EXIT that no thread joins.
+
+Observers see every event and may stop the run early; an observer stop
+is reported as STOPPED and is not a divergence.
 """
 
 from __future__ import annotations
@@ -32,16 +41,13 @@ from heapq import heapify, heappop, heapreplace
 from typing import Callable, Optional
 
 from .errors import MismatchError
-from .machine import (_EXIT, _EXITED, _NEW, _PLAIN_OPS, _READY, Event,
-                      EventKind, Machine)
+from .machine import _NEW, _PLAIN_OPS, _READY, Event, Machine
 from .program import MAIN_THREAD, Program
 from .tracefile import SyncTrace
 
 OK = "OK"
 DIVERGED = "DIVERGED"
 STOPPED = "STOPPED"
-
-_SYNC_EVENT = EventKind.SYNC
 
 
 @dataclass
@@ -56,87 +62,42 @@ class _ReplayHooks:
     """The replay gate: sync ops run one at a time in (stamp, tid) order.
 
     This is Lamport's total order: the recorded stamps, ties broken by
-    thread id. The driver asks ``permits`` before each op that emits a
-    SYNC event, so each question is about the thread's next recorded
-    stamp. A thread past its recorded sync count is refused for good.
-
-    The gate keeps O(threads) state: a heap of each thread's next
-    ``(stamp, tid)``, packed as the int ``stamp * n + tid``. Each thread's
-    stamps strictly increase, as record writes them and the trace decoder
-    demands, and ``tid < n``, so the ints order as the pairs do. The heap
-    top is the smallest unexecuted pair, and its thread is the frontier.
-    Only the frontier thread may run its op; its SYNC event replaces the
-    top by the thread's next pair, or pops it when the thread has none.
+    thread id. The gate keeps O(threads) state: a heap of each thread's
+    next ``(stamp, tid)``, packed as the int ``stamp * n + tid``. Each
+    thread's stamps strictly increase, as record writes them and the trace
+    decoder demands, and ``tid < n``, so the ints order as the pairs do.
+    The heap top is the smallest unexecuted pair, and its thread is the
+    frontier. The driver asks ``permits`` once before each frontier op and
+    hands the gate the op's SYNC event, which replaces the top by the
+    thread's next pair, or pops it when the thread has none.
 
     Under an honest trace the frontier op can always complete: every op it
     waits on has a smaller stamp, so it has already run.
     """
 
-    def __init__(self, stamps, observer):
+    def __init__(self, stamps):
         self.stamps = stamps
-        self.observer = observer
         self.n = n = len(stamps)
         self.done = [0] * n  # sync ops executed per thread
         self.heads = [per_thread[0] * n + tid
                       for tid, per_thread in enumerate(stamps) if per_thread]
         heapify(self.heads)
-        self.over_budget: set[int] = set()
 
     def permits(self, machine: Machine, tid: int) -> bool:
-        if self.done[tid] >= len(self.stamps[tid]):
-            self.over_budget.add(tid)
-            return False
-        # The thread's next pair is in the heap, so the heap has a top.
-        return self.heads[0] % self.n == tid
+        """Whether the frontier thread's next op can run now: the thread is
+        created and the op does not block."""
+        return (machine.status[tid] is not _NEW
+                and machine._block_reason(tid) is None)
 
     def on_event(self, machine: Machine, event: Event):
-        if event.kind is _SYNC_EVENT:
-            tid = event.tid
-            stamps = self.stamps[tid]
-            k = self.done[tid] = self.done[tid] + 1
-            heads = self.heads
-            if k < len(stamps):
-                heapreplace(heads, stamps[k] * self.n + tid)
-            else:
-                heappop(heads)
-        if self.observer is not None:
-            return self.observer(machine, event)
-        return None
-
-    def unexecuted(self) -> int:
-        return sum(map(len, self.stamps)) - sum(self.done)
-
-
-def _emits_sync(machine: Machine, tid: int) -> bool:
-    """Whether the live thread's next op emits a SYNC event: every gate op
-    but an EXIT that no thread joins."""
-    return (machine.code[tid][machine.pc[tid]][0] is not _EXIT
-            or tid in machine.program.exit_obj)
-
-
-def _stall(machine: Machine, hooks: _ReplayHooks, tid: int):
-    """None if the frontier thread can run its next op now, else why not."""
-    status = machine.status[tid]
-    if status is _NEW:
-        return "not created"
-    if status is _EXITED or not _emits_sync(machine, tid):
-        return (f"no sync op left ({hooks.unexecuted()} recorded sync ops "
-                f"never executed)")
-    if not hooks.permits(machine, tid):
-        return "past its recorded sync count"
-    return machine._block_reason(tid)
-
-
-def _past_count(machine: Machine, hooks: _ReplayHooks) -> str:
-    """Asks the gate about every live thread at a SYNC-emitting op and
-    names those past their recorded sync count, or returns ""."""
-    for tid, status in enumerate(machine.status):
-        if status is _READY and _emits_sync(machine, tid):
-            hooks.permits(machine, tid)
-    if not hooks.over_budget:
-        return ""
-    who = ", ".join(str(t) for t in sorted(hooks.over_budget))
-    return f"threads past recorded sync count: {who}"
+        """Advance the heap past the frontier's SYNC event."""
+        tid = event.tid
+        stamps = self.stamps[tid]
+        k = self.done[tid] = self.done[tid] + 1
+        if k < len(stamps):
+            heapreplace(self.heads, stamps[k] * self.n + tid)
+        else:
+            heappop(self.heads)
 
 
 def replay_execution(program: Program, trace: SyncTrace,
@@ -153,11 +114,19 @@ def replay_execution(program: Program, trace: SyncTrace,
         raise MismatchError("trace does not match program (digest mismatch)")
     if trace.n_threads != program.n_threads:
         raise MismatchError("trace thread count does not match program")
-    hooks = _ReplayHooks(trace.stamps, observer)
+    # The up-front count check: see the module docstring.
+    for tid, (stamps, want) in enumerate(zip(trace.stamps,
+                                             program.static_sync_counts())):
+        if len(stamps) != want:
+            return ReplayResult(
+                DIVERGED, dict(program.initial_memory), 0,
+                detail=f"thread {tid} has a recorded sync op count of "
+                f"{len(stamps)}; the program makes {want}")
+    hooks = _ReplayHooks(trace.stamps)
     machine = Machine(program, 0, None)
     code, pc, memory = machine.code, machine.pc, machine.memory
     plain, step = machine._plain, machine._step
-    on_event, heads = hooks.on_event, hooks.heads
+    permits, advance, heads = hooks.permits, hooks.on_event, hooks.heads
     n = program.n_threads
     seq = steps = 0
     tid = MAIN_THREAD
@@ -169,28 +138,24 @@ def replay_execution(program: Program, trace: SyncTrace,
             ev = plain(tid, seq)
             if ev is not None:
                 seq += 1
-                if on_event(machine, ev):
+                if observer is not None and observer(machine, ev):
                     return ReplayResult(STOPPED, memory, steps)
         if not heads:
             break
         stamp, tid = divmod(heads[0], n)
-        why = _stall(machine, hooks, tid)
-        if why is not None:
-            past = _past_count(machine, hooks)
+        if not permits(machine, tid):
+            why = ("not created" if machine.status[tid] is _NEW
+                   else machine._block_reason(tid))
             return ReplayResult(
                 DIVERGED, memory, steps,
-                detail=f"thread {tid} stuck at recorded stamp {stamp}: {why}"
-                + (f"; {past}" if past else ""))
+                detail=f"thread {tid} stuck at recorded stamp {stamp}: {why}")
         steps += 1
         ev = step(tid, code[tid][pc[tid]], seq)
         seq += 1
-        if on_event(machine, ev):
+        advance(machine, ev)
+        if observer is not None and observer(machine, ev):
             return ReplayResult(STOPPED, memory, steps)
-    # Every recorded op has run. What is left is each thread's unjoined
-    # EXIT; a thread at any other gate op is past its recorded count.
-    past = _past_count(machine, hooks)
-    if past:
-        return ReplayResult(DIVERGED, memory, steps, detail=past)
+    # Every recorded op has run; what is left is each thread's unjoined EXIT.
     for tid, status in enumerate(machine.status):
         if status is _READY:
             steps += 1

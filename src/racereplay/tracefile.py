@@ -172,7 +172,3 @@ class SyncTrace:
     def read(cls, path: str, max_ops=None) -> "SyncTrace":
         with open(path, "rb") as fh:
             return cls.from_bytes(fh.read(), max_ops)
-
-    def bits_per_op(self) -> float:
-        ops = self.total_ops
-        return (len(self.to_bytes()) * 8 / ops) if ops else 0.0

@@ -359,11 +359,10 @@ def test_record_then_replay_exit_codes(clean, tmp_path, capsys):
 
 
 def test_replay_divergence_exit_code(tmp_path, capsys):
-    prog_text = "thread 0:\n  CREATE 1\n  JOIN 1\n  EXIT\nthread 1:\n  EXIT\n"
+    prog_text = ("thread 0:\n  CREATE 1\n  STORE r0 0x00000100\n  JOIN 1\n"
+                 "  EXIT\nthread 1:\n  STORE r0 0x00000100\n  EXIT\n")
     path = tmp_path / "p.prog"
     path.write_text(prog_text)
-    from racereplay.program import parse_program
-    from racereplay.tracefile import SyncTrace
     prog = parse_program(prog_text)
     trace = SyncTrace(seed=0, digest=prog.digest(), stamps=[[1, 2], [3, 4]])
     trace_path = tmp_path / "crafted.trace"
@@ -372,6 +371,28 @@ def test_replay_divergence_exit_code(tmp_path, capsys):
     assert main(["detect", str(path), "--trace", str(trace_path)]) == 20
     out = capsys.readouterr().out
     assert "divergence without detected race" in out
+
+    # One stamp short for thread 1: refused before the replay runs.
+    short = SyncTrace(seed=0, digest=prog.digest(), stamps=[[1, 4], [2]])
+    short_path = str(tmp_path / "short.trace")
+    short.write(short_path)
+    detail = "thread 1 has a recorded sync op count of 1; the program makes 2"
+    assert main(["replay", str(path), "--trace", short_path]) == 20
+    assert main(["detect", str(path), "--trace", short_path]) == 20
+    out = capsys.readouterr().out
+    assert f"replay verdict: DIVERGED ({detail})" in out
+    assert f"divergence without detected race: {detail}" in out
+    # The report detect writes from an honest trace cannot be answered.
+    honest = str(tmp_path / "honest.trace")
+    report = str(tmp_path / "p.report")
+    assert main(["record", str(path), "-o", honest]) == 0
+    assert main(["detect", str(path), "--trace", honest,
+                 "--report", report]) == 10
+    capsys.readouterr()
+    assert main(["identify", str(path), "--trace", short_path,
+                 "--report", report]) == 1
+    err = capsys.readouterr().err
+    assert f"(replay DIVERGED: {detail})" in err
 
 
 def test_detect_and_identify_roundtrip(racy, tmp_path, capsys):

@@ -84,5 +84,5 @@ def test_trace_digest_binds_program():
 def test_compression_effective_on_alternation():
     prog = parse_program(workloads.ping_pong(500))
     rec = record_execution(prog, 0)
-    bits = rec.trace.bits_per_op()
+    bits = len(rec.trace.to_bytes()) * 8 / rec.sync_ops
     assert 0 < bits <= 64

@@ -1,5 +1,6 @@
 """Replay: fidelity for race-free programs, divergence signalling."""
 
+import re
 import tracemalloc
 from functools import partial
 from importlib import import_module
@@ -13,8 +14,8 @@ from _helpers import per_object_sync_sequences, replay_events
 
 import racereplay.replay as replay_mod
 from racereplay import workloads
-from racereplay.detector import detect
-from racereplay.errors import MismatchError
+from racereplay.detector import DIVERGED_NO_RACE, detect
+from racereplay.errors import IdentifyError, MismatchError
 from racereplay.generator import generate_program
 from racereplay.identify import identify_all
 from racereplay.machine import EventKind
@@ -79,8 +80,28 @@ def test_replay_determinism():
 
 
 def _two_thread_program():
-    return parse_program(
-        "thread 0:\n  CREATE 1\n  JOIN 1\n  EXIT\nthread 1:\n  EXIT\n")
+    return parse_program("mem 0x00000010 7\n"
+                         "thread 0:\n  CREATE 1\n  JOIN 1\n  EXIT\n"
+                         "thread 1:\n  EXIT\n")
+
+
+def _count_detail(tid, recorded, makes):
+    return (f"thread {tid} has a recorded sync op count of {recorded}; "
+            f"the program makes {makes}")
+
+
+def _diverges_before_any_step(prog, stamps):
+    """Replays the trace and returns its DIVERGED detail, checking that no
+    step ran and no event reached the observer."""
+    seen = []
+    trace = SyncTrace(seed=0, digest=prog.digest(), stamps=stamps)
+    result = replay_execution(prog, trace,
+                              observer=lambda m, ev: seen.append(ev))
+    assert result.verdict == DIVERGED
+    assert result.steps == 0
+    assert result.memory == prog.initial_memory
+    assert seen == []
+    return result.detail
 
 
 def test_crafted_unreachable_order_diverges():
@@ -97,26 +118,18 @@ def test_crafted_unreachable_order_diverges():
 
 
 def test_crafted_extra_recorded_ops_diverge():
-    # Trace promises three sync ops for the child, which only has two.
+    # Trace promises three sync ops for the child, which only has two: the
+    # replay refuses it before running anything.
     prog = _two_thread_program()
-    trace = SyncTrace(seed=0, digest=prog.digest(),
-                      stamps=[[1, 4], [2, 3, 5]])
-    result = replay_execution(prog, trace)
-    assert result.verdict == DIVERGED
-    assert "never executed" in result.detail
+    assert _diverges_before_any_step(prog, [[1, 4], [2, 3, 5]]) == \
+        _count_detail(1, 3, 2)
 
 
 def test_crafted_missing_recorded_ops_diverge():
-    # Trace records only one sync op for the child; its EXIT goes over
-    # budget, the parent can never join, and the replay reports the stall
-    # and the thread past its count.
+    # Trace records only one sync op for the child, whose START and EXIT
+    # make two.
     prog = _two_thread_program()
-    trace = SyncTrace(seed=0, digest=prog.digest(), stamps=[[1, 3], [2]])
-    result = replay_execution(prog, trace)
-    assert result.verdict == DIVERGED
-    assert result.detail == ("thread 0 stuck at recorded stamp 3: joining "
-                             "thread 1 (not exited); threads past recorded "
-                             "sync count: 1")
+    assert _diverges_before_any_step(prog, [[1, 3], [2]]) == _count_detail(1, 1, 2)
 
 
 def test_equal_stamps_may_run_any_order():
@@ -149,28 +162,22 @@ def test_equal_stamps_may_run_any_order():
 
 @pytest.mark.parametrize("stamps, detail", [
     ([[2, 4], [1, 3]], "thread 1 stuck at recorded stamp 1: not created"),
-    ([[1, 4, 5], [2, 3]], "thread 0 stuck at recorded stamp 5: no sync op "
-     "left (1 recorded sync ops never executed)"),
+    ([[1, 4, 5], [2, 3]], _count_detail(0, 3, 2)),
 ])
 def test_frontier_thread_without_its_op_diverges(stamps, detail):
     # The smallest pair is the child's START before main has created it,
-    # or a stamp for main once only its unjoined EXIT, which emits no
-    # event, is left.
+    # or a stamp for main past its CREATE and JOIN, when only its unjoined
+    # EXIT, which emits no event, would be left. The first stalls at the
+    # frontier; the second is refused before anything runs.
     prog = _two_thread_program()
-    trace = SyncTrace(seed=0, digest=prog.digest(), stamps=stamps)
-    result = replay_execution(prog, trace)
-    assert result.verdict == DIVERGED
-    assert result.detail == detail
+    assert _diverges_before_any_step(prog, stamps) == detail
 
 
 def test_sync_op_past_the_recorded_count_diverges():
-    # The trace ends every stamp with the child still at its EXIT, a sync op
-    # it has no stamp for; the parent's JOIN has none either.
+    # The trace leaves the child's EXIT and the parent's JOIN without a
+    # stamp. The lowest such thread is named.
     prog = _two_thread_program()
-    trace = SyncTrace(seed=0, digest=prog.digest(), stamps=[[1], [2]])
-    result = replay_execution(prog, trace)
-    assert result.verdict == DIVERGED
-    assert result.detail == "threads past recorded sync count: 0, 1"
+    assert _diverges_before_any_step(prog, [[1], [2]]) == _count_detail(0, 1, 2)
 
 
 @pytest.mark.parametrize("threads, ops", [(16, 200), (64, 100)])
@@ -208,17 +215,17 @@ def test_heap_top_is_always_the_next_pair_run(monkeypatch):
     checked = 0
 
     class Checked(_ReplayHooks):
-        def __init__(self, stamps, observer):
-            super().__init__(stamps, observer)
+        def __init__(self, stamps):
+            super().__init__(stamps)
             gates.append(self)
 
         def on_event(self, machine, event):
             nonlocal checked
-            if event.kind is EventKind.SYNC:
-                tid = event.tid
-                stamp = self.stamps[tid][self.done[tid]]
-                assert stamp * len(self.stamps) + tid == self.heads[0]
-                checked += 1
+            assert event.kind is EventKind.SYNC
+            tid = event.tid
+            stamp = self.stamps[tid][self.done[tid]]
+            assert stamp * len(self.stamps) + tid == self.heads[0]
+            checked += 1
             return super().on_event(machine, event)
 
     monkeypatch.setattr(replay_mod, "_ReplayHooks", Checked)
@@ -253,11 +260,11 @@ def test_gate_state_is_bounded_by_threads():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        gate = _ReplayHooks(stamps, None)
+        gate = _ReplayHooks(stamps)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert gate.unexecuted() == 80004
+    assert len(gate.heads) == 2
     assert held < 16 * 1024, held
 
 
@@ -319,3 +326,70 @@ def test_reports_do_not_depend_on_the_replay_seed(seed, threads, ops, density,
         outcomes.add((first.status, repr(first.reports),
                       every.status, repr(every.reports), repr(sites)))
     assert len(outcomes) == 1
+
+
+_STALL = re.compile(r"thread (\d+) stuck at recorded stamp (\d+): .+")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32), threads=st.integers(2, 5),
+       ops=st.integers(8, 60),
+       density=st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0)),
+       shared=st.integers(1, 6), record_seed=st.integers(0, 2**16),
+       pick=st.integers(0, 2**16), by=st.integers(1, 3))
+def test_forged_traces_diverge_or_replay(seed, threads, ops, density, shared,
+                                         record_seed, pick, by):
+    # Every recorded trace has the program's static per-thread counts.
+    # Dropping or duplicating one stamp of one thread is refused before
+    # anything runs, and detect and identify see the refusal. Raising one
+    # stamp, each thread's stamps still strictly increasing, replays OK or
+    # stalls at the smallest pair not yet run.
+    prog = parse_program(generate_program(seed, threads=threads,
+                                          ops_per_thread=ops,
+                                          lock_density=density,
+                                          shared_addresses=shared))
+    rec = record_execution(prog, record_seed)
+    counts = prog.static_sync_counts()
+    assert [len(s) for s in rec.trace.stamps] == counts
+    reports = detect(prog, rec.trace, all_races=True).reports
+    busy = [tid for tid, stamps in enumerate(rec.trace.stamps) if stamps]
+    tid = busy[pick % len(busy)]
+    honest = rec.trace.stamps[tid]
+    k = pick % len(honest)
+
+    for forged in (honest[:k] + honest[k + 1:], honest[:k + 1] + honest[k:]):
+        stamps = list(rec.trace.stamps)
+        stamps[tid] = forged
+        trace = SyncTrace(seed=0, digest=prog.digest(), stamps=stamps)
+        assert _diverges_before_any_step(prog, stamps) == \
+            _count_detail(tid, len(forged), counts[tid])
+        result = detect(prog, trace)
+        assert result.status == DIVERGED_NO_RACE and result.reports == []
+        if reports:
+            with pytest.raises(IdentifyError):
+                identify_all(prog, trace, reports)
+
+    # The last stamp always has room above it; an earlier one only below
+    # its successor.
+    room = [j for j in range(len(honest))
+            if j + 1 == len(honest) or honest[j] + 1 < honest[j + 1]]
+    j = room[pick % len(room)]
+    raised = list(honest)
+    raised[j] += by if j + 1 == len(honest) else \
+        min(by, honest[j + 1] - honest[j] - 1)
+    stamps = list(rec.trace.stamps)
+    stamps[tid] = raised
+    trace = SyncTrace(seed=0, digest=prog.digest(), stamps=stamps)
+    done = [0] * prog.n_threads
+
+    def count(machine, event):
+        done[event.tid] += event.kind is EventKind.SYNC
+
+    result = replay_execution(prog, trace, observer=count)
+    if result.verdict != OK:
+        assert result.verdict == DIVERGED
+        stalled = _STALL.fullmatch(result.detail)
+        assert stalled is not None, result.detail
+        frontier = min((stamp, t) for t, s in enumerate(stamps)
+                       for stamp in s[done[t]:])
+        assert (int(stalled[2]), int(stalled[1])) == frontier
