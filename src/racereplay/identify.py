@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .detector import RaceReport
-from .errors import IdentifyError
+from .errors import IdentifyError, MismatchError
 from .machine import EventKind
 from .program import Program
 from .replay import replay_execution
@@ -75,9 +75,17 @@ def identify_all(program: Program, trace: SyncTrace, reports) -> list:
     """Returns one (InstructionSite, InstructionSite) per report, in the
     reports' order, all from one replay that ends at its last answer.
 
-    Raises ``MismatchError`` from the replay when the trace is not this
-    program's, and ``IdentifyError`` when a side's access never occurs.
+    Raises ``MismatchError``, before any replay, when a report side names
+    a thread the program lacks or a clock not of one component per thread,
+    and from the replay when the trace is not this program's;
+    ``IdentifyError`` when a side's access never occurs.
     """
+    n = program.n_threads
+    for report in reports:
+        for tag, side in (("t1", report.side1), ("t2", report.side2)):
+            if side.tid >= n or len(side.clock) != n:
+                raise MismatchError(f"report side {tag} (thread {side.tid}, clock of "
+                                    f"{len(side.clock)}) does not fit a program of {n} threads")
     if not reports:
         return []
     collector = _Collector(reports, program.n_threads)

@@ -3,14 +3,15 @@
 Scheduling draws one value per step from a splitmix64 sequence and picks
 uniformly (value mod k) among the k runnable threads in ascending thread-id
 order, so identical (program, seed) pairs produce bit-identical event
-streams; hooks observe a run and never change its schedule. A thread is
+streams; an observer sees a run and never changes its schedule. A thread is
 runnable when it has been created, has not exited, and its next operation
 can complete now.
 
-Thread start is an explicit synchronisation step. The machine runs each
-body with a private START pseudo-op appended after its EXIT, and a
-created thread begins at pc -1, so its first step is a START handshake
-on its creation object, an event with ordinal -1, before instruction 0.
+Thread start is an explicit synchronisation step. ``Op.START`` never
+appears in program text: the machine appends one to each body, after its
+EXIT, and a created thread begins at pc -1, so its first step is a START
+handshake on its creation object, an event with ordinal -1, before
+instruction 0. A SYNC event's ``sync`` is the ``Op`` that made it.
 EXIT performs the matching handshake on the thread's exit object, but
 only for threads some JOIN targets; untargeted exits (typically main's)
 emit no event.
@@ -57,15 +58,17 @@ and stands at a gate op stands at one that emits a SYNC event. The
 replay driver checks a trace's counts against that figure before it
 runs, and needs no per-thread budget afterwards.
 
-Only a run without hooks keeps its events, in ``Machine.events`` and
-``RunResult.events``; record's run is the one such run in the package. A
-run with hooks keeps none: it passes each event to ``on_event``, and a
-caller that needs the stream keeps it there.
+Only a run without an observer keeps its events, in ``Machine.events``
+and ``RunResult.events``; record's run is the one such run in the
+package. A run with an observer keeps none: it calls ``observer(machine,
+event)`` with each event, stops once that returns a truthy value, and a
+caller that needs the stream keeps it there. Replay takes the same
+observer.
 
 With one runnable thread the draw's output is not mixed (any value mod 1
 is 0), but the state still advances, so the generator state after ``s``
 steps is ``seed + s * _GOLDEN`` mod 2**64 whichever threads ran. ``pc``,
-``regs``, ``memory`` and ``status`` are current whenever a hook runs;
+``regs``, ``memory`` and ``status`` are current whenever the observer runs;
 ``steps`` and the generator state are written back when ``run`` returns
 or raises.
 """
@@ -74,10 +77,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import DeadlockError, MachineError
-from .program import MAIN_THREAD, NUM_REGISTERS, WORD_MASK, Op, Program
+from .program import MAIN_THREAD, NUM_REGISTERS, PLAIN_OPS, WORD_MASK, Op, Program
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -101,39 +104,12 @@ class EventKind(IntEnum):
     SYNC = 2
 
 
-class SyncKind(IntEnum):
-    LOCK = 0
-    UNLOCK = 1
-    SEM_WAIT = 2
-    SEM_POST = 3
-    CREATE = 4
-    JOIN = 5
-    START = 6
-    EXIT = 7
+# Acquire-like ops receive ordering from the object; every other sync op
+# (UNLOCK, SEM_POST, CREATE, EXIT) is release-like and publishes to it.
+ACQUIRE_KINDS = frozenset((Op.LOCK, Op.SEM_WAIT, Op.JOIN, Op.START))
 
-
-# Acquire-like ops receive ordering from the object; release-like publish to it.
-ACQUIRE_KINDS = frozenset((SyncKind.LOCK, SyncKind.SEM_WAIT, SyncKind.JOIN, SyncKind.START))
-RELEASE_KINDS = frozenset((SyncKind.UNLOCK, SyncKind.SEM_POST, SyncKind.CREATE, SyncKind.EXIT))
-
-# Ops that never block and change no state another thread's runnability reads.
-_PLAIN_OPS = frozenset((Op.LOAD, Op.STORE, Op.ADDI, Op.SET))
 # Ops that can complete only while their object's count is positive.
 _WAIT_OPS = frozenset((Op.LOCK, Op.SEM_WAIT, Op.JOIN))
-
-# The START pseudo-op appended to each body: distinct from every Op.
-_START = "START"
-
-_OP_SYNC = {
-    Op.LOCK: SyncKind.LOCK,
-    Op.UNLOCK: SyncKind.UNLOCK,
-    Op.SEM_WAIT: SyncKind.SEM_WAIT,
-    Op.SEM_POST: SyncKind.SEM_POST,
-    Op.CREATE: SyncKind.CREATE,
-    Op.JOIN: SyncKind.JOIN,
-    Op.EXIT: SyncKind.EXIT,
-    _START: SyncKind.START,
-}
 
 # Enum members read once or more per step, bound as module globals: reading
 # one through its class costs about four times a global lookup.
@@ -150,23 +126,11 @@ class Event(NamedTuple):
     addr: int         # -1 unless LOAD/STORE
     ordinal: int      # per-thread instruction index; -1 for START
     obj: int          # sync object id, -1 unless SYNC
-    sync: int         # SyncKind value, -1 unless SYNC
+    sync: int         # the Op that made a SYNC event, -1 unless SYNC
 
 
 # Builds an Event from a 7-tuple without the NamedTuple's Python-level __new__.
 _new_tuple = tuple.__new__
-
-
-class ExecutionHooks:
-    """Observer interface; the default implementation does nothing."""
-
-    def on_event(self, machine: "Machine", event: Event):
-        """Called with every event. Return a truthy value to stop the run
-        after this event.
-
-        A run with hooks keeps no events itself; keep here any it needs.
-        """
-        return None
 
 
 @dataclass
@@ -187,16 +151,16 @@ _NEW, _READY, _EXITED = _Status.NEW, _Status.READY, _Status.EXITED
 
 class Machine:
     def __init__(self, program: Program, seed: int,
-                 hooks: Optional[ExecutionHooks]):
+                 observer: Optional[Callable]):
         if not 0 <= seed <= MASK64:
             raise ValueError("seed must be a 64-bit unsigned integer")
         self.program = program
-        self.hooks = hooks
+        self.observer = observer
         self._rng = seed
         n = program.n_threads
         # Each body with its START appended, so a created thread's pc -1
         # reads its START; see the module docstring.
-        self.code = [body + ((_START, program.create_obj.get(tid, -1), 0),)
+        self.code = [body + ((Op.START, program.create_obj.get(tid, -1), 0),)
                      for tid, body in enumerate(program.threads)]
         self.status = [_NEW] * n
         self.status[MAIN_THREAD] = _READY
@@ -210,7 +174,7 @@ class Machine:
         for oid, init in program.semaphores.values():
             self.count[oid] = init
         self.mutex_owner = dict.fromkeys(program.mutexes.values())
-        self.events: list[Event] = []  # filled only in a run without hooks
+        self.events: list[Event] = []  # filled only in a run without an observer
         self.steps = 0
         # Thread-id bitmasks; see the module docstring.
         self.waiters = [0] * program.n_objects  # object id -> threads waiting on it
@@ -318,11 +282,10 @@ class Machine:
             self.blocked &= ~waiters[obj]
         # A START changes no state: its object is its thread's creation object.
         self.pc[tid] = ordinal + 1
-        return _new_tuple(Event, (seq, tid, _SYNC_EVENT, -1, ordinal, obj,
-                                  _OP_SYNC[op]))
+        return _new_tuple(Event, (seq, tid, _SYNC_EVENT, -1, ordinal, obj, op))
 
     def run(self) -> RunResult:
-        """Run to completion, a hook's stop request, or a deadlock.
+        """Run to completion, the observer's stop request, or a deadlock.
 
         The scheduler's step loop; see the module docstring.
         """
@@ -330,7 +293,7 @@ class Machine:
         memory, events = self.memory, self.events
         append = events.append
         plain, step, arrive = self._plain, self._step, self._arrive
-        on_event = None if self.hooks is None else self.hooks.on_event
+        observer = self.observer
         left = sum(s is not _EXITED for s in self.status)
         arrive(MAIN_THREAD)
         runnable = self.live & ~self.blocked
@@ -352,11 +315,11 @@ class Machine:
                 steps += 1
                 body = code[tid]
                 ins = body[pc[tid]]
-                if ins[0] in _PLAIN_OPS:
+                if ins[0] in PLAIN_OPS:
                     ev = plain(tid, seq)
                     # A plain step changes the runnable mask only when it
                     # brings its thread to a gate op.
-                    moved = body[pc[tid]][0] not in _PLAIN_OPS
+                    moved = body[pc[tid]][0] not in PLAIN_OPS
                 else:
                     ev = step(tid, ins, seq)
                     if ins[0] is _EXIT:
@@ -372,9 +335,9 @@ class Machine:
                         k = len(ids)
                 if ev is not None:
                     seq += 1
-                    if on_event is None:
+                    if observer is None:
                         append(ev)
-                    elif on_event(self, ev):
+                    elif observer(self, ev):
                         return RunResult(memory, events, steps)
             return RunResult(memory, events, steps)
         finally:
@@ -391,6 +354,10 @@ def _bit_ids(mask: int) -> list:
     return ids
 
 
-def run(program: Program, seed: int, hooks: Optional[ExecutionHooks] = None) -> RunResult:
-    """Execute a program to completion under the seeded scheduler."""
-    return Machine(program, seed, hooks).run()
+def run(program: Program, seed: int, observer: Optional[Callable] = None) -> RunResult:
+    """Execute a program to completion under the seeded scheduler.
+
+    ``observer(machine, event)``, when given, is called with every event;
+    a truthy return stops the run. See the module docstring.
+    """
+    return Machine(program, seed, observer).run()

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .machine import ACQUIRE_KINDS, EventKind, RELEASE_KINDS
+from .machine import ACQUIRE_KINDS, EventKind
 
 
 class HbOracle:
@@ -34,7 +34,7 @@ class HbOracle:
                 if ev.sync in ACQUIRE_KINDS:
                     for rel in releases_of_obj.get(ev.obj, ()):
                         successors[rel].append(ev.seq)
-                elif ev.sync in RELEASE_KINDS:
+                else:  # release-like
                     releases_of_obj.setdefault(ev.obj, []).append(ev.seq)
         # Events are emitted in global order, so seq order is topological.
         reach = [0] * n

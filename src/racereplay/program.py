@@ -24,17 +24,23 @@ MAIN_THREAD = 0
 
 
 class Op(IntEnum):
-    LOAD = 0
-    STORE = 1
-    ADDI = 2
-    SET = 3
-    LOCK = 4
-    UNLOCK = 5
-    SEM_WAIT = 6
-    SEM_POST = 7
-    CREATE = 8
-    JOIN = 9
-    EXIT = 10
+    """Every op, sync ops first: a SYNC event's ``sync`` is the op that
+    made it."""
+
+    LOCK = 0
+    UNLOCK = 1
+    SEM_WAIT = 2
+    SEM_POST = 3
+    CREATE = 4
+    JOIN = 5
+    # Never in program text: the machine appends one to each body, after its
+    # EXIT, and a created thread runs it first (see ``machine.py``).
+    START = 6
+    EXIT = 7
+    LOAD = 8
+    STORE = 9
+    ADDI = 10
+    SET = 11
 
 
 # Ops that always act on a sync object / on a thread.
@@ -42,8 +48,12 @@ OBJECT_OPS = frozenset((Op.LOCK, Op.UNLOCK, Op.SEM_WAIT, Op.SEM_POST))
 THREAD_OPS = frozenset((Op.CREATE, Op.JOIN))
 _ADDRESS_OPS = frozenset((Op.LOAD, Op.STORE))
 _CONSTANT_OPS = frozenset((Op.ADDI, Op.SET))
+# Ops that never block and change no state another thread's runnability reads.
+PLAIN_OPS = _ADDRESS_OPS | _CONSTANT_OPS
 # Mnemonics by op; reading ``Op.name`` goes through a Python-level property.
 _OP_NAMES = {op: op.name for op in Op}
+# Ops by mnemonic, as program text may spell them: every op but START.
+_MNEMONICS = {op.name: op for op in Op if op is not Op.START}
 # Read once per body line; a global costs a fifth of a read through ``Op``.
 _EXIT = Op.EXIT
 
@@ -75,8 +85,9 @@ class Program:
     def n_objects(self) -> int:
         return len(self.obj_names)
 
-    def static_sync_counts(self) -> list:
-        """Per thread, the sync events a complete run emits for it.
+    def static_sync_counts(self) -> tuple:
+        """Per thread, the sync events a complete run emits for it,
+        computed once per program.
 
         That is one per sync instruction, plus START for a created thread
         and EXIT for a join target. Bodies are straight-line, so each
@@ -84,9 +95,13 @@ class Program:
         exact, not only a bound. Replay relies on that: it refuses, before
         it runs anything, a trace whose per-thread counts differ.
         """
-        return [sum(ins.op in OBJECT_OPS or ins.op in THREAD_OPS for ins in body)
+        cached = self.__dict__.get("_sync_counts")
+        if cached is None:
+            cached = self.__dict__["_sync_counts"] = tuple(
+                sum(ins.op in OBJECT_OPS or ins.op in THREAD_OPS for ins in body)
                 + (tid != MAIN_THREAD) + (tid in self.exit_obj)
-                for tid, body in enumerate(self.threads)]
+                for tid, body in enumerate(self.threads))
+        return cached
 
     def instruction_text(self, tid: int, ordinal: int) -> str:
         return render_instruction(self, self.threads[tid][ordinal])
@@ -114,8 +129,8 @@ class Program:
         """SHA-256 of the canonical text, computed once per program."""
         cached = self.__dict__.get("_digest")
         if cached is None:
-            cached = hashlib.sha256(self.canonical_text().encode()).digest()
-            object.__setattr__(self, "_digest", cached)
+            cached = self.__dict__["_digest"] = hashlib.sha256(
+                self.canonical_text().encode()).digest()
         return cached
 
 
@@ -166,9 +181,8 @@ def _parse_instruction(line: str, lineno: int, mutexes: dict,
     """
     tokens = line.split()
     mnemonic = tokens[0]
-    try:
-        op = Op[mnemonic]
-    except KeyError:
+    op = _MNEMONICS.get(mnemonic)
+    if op is None:
         raise ParseError(f"unknown instruction '{mnemonic}'", lineno)
     args = tokens[1:]
     if op in _ADDRESS_OPS:
@@ -181,18 +195,14 @@ def _parse_instruction(line: str, lineno: int, mutexes: dict,
             raise ParseError(f"{mnemonic} takes a register and a constant", lineno)
         reg = _parse_register(args[0], lineno)
         return Instruction(op, reg, _parse_int(args[1], lineno, "constant") & WORD_MASK)
-    if op in (Op.LOCK, Op.UNLOCK):
+    if op in OBJECT_OPS:
+        mutex = op is Op.LOCK or op is Op.UNLOCK
         if len(args) != 1:
-            raise ParseError(f"{mnemonic} takes a mutex name", lineno)
-        if args[0] not in mutexes:
+            raise ParseError(f"{mnemonic} takes a {'mutex' if mutex else 'semaphore'} name",
+                             lineno)
+        if args[0] not in (mutexes if mutex else semaphores):
             raise ParseError(f"undeclared sync object '{args[0]}'", lineno)
-        return Instruction(op, mutexes[args[0]])
-    if op in (Op.SEM_WAIT, Op.SEM_POST):
-        if len(args) != 1:
-            raise ParseError(f"{mnemonic} takes a semaphore name", lineno)
-        if args[0] not in semaphores:
-            raise ParseError(f"undeclared sync object '{args[0]}'", lineno)
-        return Instruction(op, semaphores[args[0]][0])
+        return Instruction(op, mutexes[args[0]] if mutex else semaphores[args[0]][0])
     if op in THREAD_OPS:
         if len(args) != 1:
             raise ParseError(f"{mnemonic} takes a thread id", lineno)

@@ -41,8 +41,8 @@ from heapq import heapify, heappop, heapreplace
 from typing import Callable, Optional
 
 from .errors import MismatchError
-from .machine import _NEW, _PLAIN_OPS, _READY, Event, Machine
-from .program import MAIN_THREAD, Program
+from .machine import _NEW, _READY, Event, Machine
+from .program import MAIN_THREAD, PLAIN_OPS, Program
 from .tracefile import SyncTrace
 
 OK = "OK"
@@ -122,18 +122,18 @@ def replay_execution(program: Program, trace: SyncTrace,
                 DIVERGED, dict(program.initial_memory), 0,
                 detail=f"thread {tid} has a recorded sync op count of "
                 f"{len(stamps)}; the program makes {want}")
-    hooks = _ReplayHooks(trace.stamps)
+    gate = _ReplayHooks(trace.stamps)
     machine = Machine(program, 0, None)
     code, pc, memory = machine.code, machine.pc, machine.memory
     plain, step = machine._plain, machine._step
-    permits, advance, heads = hooks.permits, hooks.on_event, hooks.heads
+    permits, advance, heads = gate.permits, gate.on_event, gate.heads
     n = program.n_threads
     seq = steps = 0
     tid = MAIN_THREAD
     while True:
         # The thread's plain ops, up to its next gate op.
         body = code[tid]
-        while body[pc[tid]][0] in _PLAIN_OPS:
+        while body[pc[tid]][0] in PLAIN_OPS:
             steps += 1
             ev = plain(tid, seq)
             if ev is not None:

@@ -1,7 +1,7 @@
 """Shared helpers for the test suite."""
 
 from racereplay.detector import DetectorListener
-from racereplay.machine import EventKind, ExecutionHooks
+from racereplay.machine import EventKind
 from racereplay.replay import replay_execution
 
 
@@ -35,16 +35,6 @@ def per_object_sync_sequences(events):
         if ev.kind is EventKind.SYNC:
             out.setdefault(ev.obj, []).append((ev.tid, ev.sync))
     return out
-
-
-class CountingHooks(ExecutionHooks):
-    """Counts the SYNC events of a run."""
-
-    def __init__(self):
-        self.sync_events = 0
-
-    def on_event(self, machine, event):
-        self.sync_events += event.kind is EventKind.SYNC
 
 
 class SegmentLog(DetectorListener):

@@ -306,6 +306,33 @@ def test_identify_refuses_a_report_detect_never_writes(
     assert "malformed report record" in err and message in err
 
 
+@pytest.mark.parametrize("find, replace, message", [
+    ("t1=1 ", "t1=7 ", "report side t1 (thread 7, clock of 3) does not fit "
+     "a program of 3 threads"),
+    ("clock=0,1,0", "clock=9,0,1,0", "report side t1 (thread 1, clock of 4) "
+     "does not fit a program of 3 threads"),
+])
+def test_identify_refuses_a_report_side_the_program_lacks(
+        find, replace, message, racy, tmp_path, capsys):
+    # A side on a thread the program lacks, or with a clock not of one
+    # component per thread, is refused before identify replays, and the
+    # report file is left as it was.
+    trace = str(tmp_path / "s.trace")
+    report = tmp_path / "s.report"
+    assert main(["record", racy, "--seed", "1", "-o", trace]) == 0
+    assert main(["detect", racy, "--trace", trace,
+                 "--report", str(report)]) == 10
+    text = report.read_text()
+    assert find in text
+    report.write_text(text.replace(find, replace))
+    before = report.read_text()
+    capsys.readouterr()
+    assert main(["identify", racy, "--trace", trace,
+                 "--report", str(report)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert report.read_text() == before
+
+
 def test_directory_as_program_usage_error(tmp_path, capsys):
     assert main(["record", str(tmp_path)]) == 1
     assert "error" in capsys.readouterr().err

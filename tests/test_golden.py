@@ -73,7 +73,7 @@ from racereplay import workloads
 from racereplay.detector import LiveSegmentProbe, detect
 from racereplay.errors import DeadlockError
 from racereplay.generator import generate_program
-from racereplay.machine import ExecutionHooks, _Status, run
+from racereplay.machine import _Status, run
 from racereplay.program import parse_program
 from racereplay.record import record_execution
 from racereplay.replay import replay_execution
@@ -221,13 +221,14 @@ def test_golden_digest():
     assert corpus_digest(corpus()) == GOLDEN
 
 
-class _WaiterCount(ExecutionHooks):
-    """Largest number of threads blocked for the same reason after any event."""
+class _WaiterCount:
+    """Observer: the largest number of threads blocked for the same reason
+    after any event."""
 
     def __init__(self):
         self.most = 0
 
-    def on_event(self, machine, event):
+    def __call__(self, machine, event):
         reasons = Counter(machine._block_reason(tid)
                           for tid in range(machine.program.n_threads)
                           if machine.status[tid] is _Status.READY)
@@ -239,9 +240,9 @@ def test_contended_cases_block_several_threads_on_one_object():
     for text in (SEM_THREE_WAITERS, TWO_JOINERS):
         program = parse_program(text)
         for seed in SEEDS:
-            hooks = _WaiterCount()
-            run(program, seed, hooks)
-            assert hooks.most >= 2
+            waiters = _WaiterCount()
+            run(program, seed, waiters)
+            assert waiters.most >= 2
 
 
 def test_golden_contended_digest():

@@ -2,15 +2,12 @@
 
 import pytest
 
-from _helpers import CountingHooks
-
 from racereplay import machine as machine_mod
 from racereplay import workloads
 from racereplay.errors import DeadlockError, MachineError
 from racereplay.generator import generate_program
-from racereplay.machine import (_GOLDEN, MASK64, EventKind, ExecutionHooks,
-                                Machine, SyncKind, run, splitmix64)
-from racereplay.program import parse_program
+from racereplay.machine import _GOLDEN, MASK64, EventKind, Machine, run, splitmix64
+from racereplay.program import Op, parse_program
 
 
 def test_splitmix64_reference_sequence():
@@ -32,8 +29,8 @@ def test_splitmix64_reference_sequence():
     assert first == 0xE220A8397B1DCDAF  # widely published first output
 
 
-def _ends_with(text, seed, hooks=None):
-    machine = Machine(parse_program(text), seed, hooks)
+def _ends_with(text, seed, observer=None):
+    machine = Machine(parse_program(text), seed, observer)
     try:
         assert machine.run().steps == machine.steps
     except (DeadlockError, MachineError):
@@ -59,23 +56,22 @@ def test_rng_state_is_exact_after_run():
     assert interleaved
 
 
-class _StopAtMemory(ExecutionHooks):
-    def on_event(self, machine, event):
-        return event.kind is not EventKind.SYNC
+def _stop_at_memory(machine, event):
+    return event.kind is not EventKind.SYNC
 
 
-@pytest.mark.parametrize("text, hooks, steps", [
+@pytest.mark.parametrize("text, observer, steps", [
     ("mutex m\nthread 0:\n  SET r0 1\n  UNLOCK m\n  EXIT\n", None, 2),
     ("mutex m\nthread 0:\n  LOCK m\n  ADDI r0 1\n  LOCK m\n  EXIT\n", None, 2),
     ("thread 0:\n  SET r0 1\n  STORE r0 0x00000010\n  SET r0 2\n  EXIT\n",
-     _StopAtMemory(), 2),
+     _stop_at_memory, 2),
     ("thread 0:\n  SET r0 1\n  LOAD r0 0x00000010\n  SET r0 2\n  EXIT\n",
-     _StopAtMemory(), 2),
+     _stop_at_memory, 2),
 ])
-def test_steps_and_rng_exact_when_run_ends_early(text, hooks, steps):
-    # A MachineError, a deadlock and a hook's stop request at each kind of
-    # memory step.
-    machine = _ends_with(text, 11, hooks)
+def test_steps_and_rng_exact_when_run_ends_early(text, observer, steps):
+    # A MachineError, a deadlock and an observer's stop request at each kind
+    # of memory step.
+    machine = _ends_with(text, 11, observer)
     assert machine.steps == steps
     assert machine._rng == (11 + steps * _GOLDEN) & MASK64
 
@@ -196,10 +192,10 @@ def test_lock_blocking_semantics_respected():
         for ev in run(prog, seed).events:
             if ev.kind is not EventKind.SYNC:
                 continue
-            if ev.sync == SyncKind.LOCK:
+            if ev.sync == Op.LOCK:
                 assert held is None
                 held = ev.tid
-            elif ev.sync == SyncKind.UNLOCK:
+            elif ev.sync == Op.UNLOCK:
                 assert held == ev.tid
                 held = None
 
@@ -211,10 +207,10 @@ def test_semaphore_count_never_negative():
         for ev in run(prog, seed).events:
             if ev.kind is not EventKind.SYNC:
                 continue
-            if ev.sync == SyncKind.SEM_WAIT:
+            if ev.sync == Op.SEM_WAIT:
                 counts[ev.obj] -= 1
                 assert counts[ev.obj] >= 0
-            elif ev.sync == SyncKind.SEM_POST:
+            elif ev.sync == Op.SEM_POST:
                 counts[ev.obj] += 1
 
 
@@ -231,18 +227,15 @@ def test_event_stream_invariants():
             per_thread_last[ev.tid] = ev.ordinal
 
 
-def test_run_with_hooks_passes_events_on_and_keeps_none():
-    class Seqs(ExecutionHooks):
-        def __init__(self):
-            self.seqs = []
+def test_run_with_an_observer_passes_events_on_and_keeps_none():
+    seqs = []
 
-        def on_event(self, machine, event):
-            self.seqs.append(event.seq)
+    def observer(machine, event):
+        seqs.append(event.seq)
 
     prog = parse_program(workloads.ping_pong(20, slack=2))
-    hooks = Seqs()
-    res = run(prog, 3, hooks)
-    assert hooks.seqs == list(range(len(run(prog, 3).events)))
+    res = run(prog, 3, observer)
+    assert seqs == list(range(len(run(prog, 3).events)))
     assert res.events == []
 
 
@@ -253,7 +246,7 @@ def test_start_events_precede_thread_activity():
     for ev in res.events:
         if ev.tid == 0:
             continue
-        if ev.kind is EventKind.SYNC and ev.sync == SyncKind.START:
+        if ev.kind is EventKind.SYNC and ev.sync == Op.START:
             seen_start.add(ev.tid)
         else:
             assert ev.tid in seen_start
@@ -267,7 +260,7 @@ def test_exit_event_only_for_join_targets():
     prog = parse_program(text)
     res = run(prog, 4)
     exits = [e.tid for e in res.events
-             if e.kind is EventKind.SYNC and e.sync == SyncKind.EXIT]
+             if e.kind is EventKind.SYNC and e.sync == Op.EXIT]
     assert exits == [1]
 
 
@@ -298,9 +291,8 @@ def test_scheduler_rechecks_threads_only_at_sync_points(monkeypatch):
         return arrive(self, tid)
 
     monkeypatch.setattr(Machine, "_arrive", counted)
-    hooks = CountingHooks()
-    res = run(prog, 5, hooks)
-    syncs = hooks.sync_events
+    res = run(prog, 5)
+    syncs = sum(ev.kind is EventKind.SYNC for ev in res.events)
     assert res.steps == workers * 500 + syncs + 1  # main's EXIT emits no event
     assert arrivals == 1 + (syncs - workers) + workers
 

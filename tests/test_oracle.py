@@ -10,7 +10,7 @@ from racereplay.generator import generate_program
 from racereplay.machine import EventKind, run
 from racereplay.oracle import (HbOracle, brute_force_detect, build_segments,
                                race_formula, segments_ordered)
-from racereplay.program import parse_program
+from racereplay.program import Op, parse_program
 from racereplay.record import record_execution
 
 
@@ -36,13 +36,12 @@ def test_release_acquire_edge():
         for ev in events:
             if ev.kind is EventKind.SYNC:
                 by_kind.setdefault((ev.tid, ev.sync), []).append(ev)
-        from racereplay.machine import SyncKind
-        unlocks0 = by_kind[(0, SyncKind.UNLOCK)]
-        locks1 = by_kind[(1, SyncKind.LOCK)]
+        unlocks0 = by_kind[(0, Op.UNLOCK)]
+        locks1 = by_kind[(1, Op.LOCK)]
         # Whichever thread entered first, the two critical sections are
         # ordered: one unlock happens before the other's lock.
-        first_unlock = min(unlocks0[0].seq, by_kind[(1, SyncKind.UNLOCK)][0].seq)
-        later_lock = max(by_kind[(0, SyncKind.LOCK)][0].seq, locks1[0].seq)
+        first_unlock = min(unlocks0[0].seq, by_kind[(1, Op.UNLOCK)][0].seq)
+        later_lock = max(by_kind[(0, Op.LOCK)][0].seq, locks1[0].seq)
         assert hb.happened_before(first_unlock, later_lock)
 
 

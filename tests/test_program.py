@@ -185,6 +185,13 @@ def test_formatting_does_not_change_the_program(seed, threads, ops,
     assert b.static_sync_counts() == a.static_sync_counts()
 
 
+def test_static_sync_counts_are_computed_once():
+    prog = parse_program(workloads.ping_pong(3))
+    counts = prog.static_sync_counts()
+    assert isinstance(counts, tuple)
+    assert prog.static_sync_counts() is counts
+
+
 def test_canonical_text_pinned_byte_for_byte():
     # Every op, two mutexes declared out of order, a semaphore's initial
     # count and a mem line; constants are stored as 32-bit words.
@@ -290,6 +297,9 @@ PINNED_ERRORS = [
      "unknown instruction 'BOGUS'", 4),
     ("thread 0:\n  SET r0 1\n  threadx 1\n  EXIT\n",
      "unknown instruction 'threadx'", 3),
+    # START is an op, but only the machine writes one.
+    ("thread 0:\n  SET r0 1\n  START\n  EXIT\n",
+     "unknown instruction 'START'", 3),
     ("thread 0:\n  SET r0 1\n  thread 1\n  EXIT\n",
      "expected 'thread <id>:'", 3),
     ("thread 0:\n  SET r0 1\n  SET r0 1\n  SET r16 1\n  EXIT\n",
@@ -301,6 +311,15 @@ PINNED_ERRORS = [
      "thread 0:\n  CREATE 1\n  LOCK m\n  EXIT\n",
      "undeclared sync object 'm'", 6),
     ("thread 0:\n  EXIT\n  SET r99 1\n", "instruction after EXIT", 3),
+    # A mutex op takes one mutex and a semaphore op one semaphore.
+    ("mutex m\nsem s 1\nthread 0:\n  LOCK\n  EXIT\n",
+     "LOCK takes a mutex name", 4),
+    ("mutex m\nsem s 1\nthread 0:\n  SEM_POST s m\n  EXIT\n",
+     "SEM_POST takes a semaphore name", 4),
+    ("mutex m\nsem s 1\nthread 0:\n  UNLOCK s\n  EXIT\n",
+     "undeclared sync object 's'", 4),
+    ("mutex m\nsem s 1\nthread 0:\n  SEM_WAIT m\n  EXIT\n",
+     "undeclared sync object 'm'", 4),
     ("thread 0:\n  CREATE 1\n  SET r0 1\nthread 1:\n  BOGUS\n",
      "thread 0 body must end with EXIT", 1),
     ("thread 0:\n  EXIT\nthread 1:\n  EXIT\nthread 2:\n  EXIT\n",

@@ -26,7 +26,7 @@ def test_static_sync_counts_are_exact_for_complete_runs():
     for text in texts:
         prog = parse_program(text)
         rec = record_execution(prog, 2)
-        assert [len(s) for s in rec.trace.stamps] == prog.static_sync_counts()
+        assert tuple(len(s) for s in rec.trace.stamps) == prog.static_sync_counts()
 
 
 def test_sync_free_program_records_empty_trace():

@@ -350,7 +350,7 @@ def test_forged_traces_diverge_or_replay(seed, threads, ops, density, shared,
                                           shared_addresses=shared))
     rec = record_execution(prog, record_seed)
     counts = prog.static_sync_counts()
-    assert [len(s) for s in rec.trace.stamps] == counts
+    assert tuple(len(s) for s in rec.trace.stamps) == counts
     reports = detect(prog, rec.trace, all_races=True).reports
     busy = [tid for tid, stamps in enumerate(rec.trace.stamps) if stamps]
     tid = busy[pick % len(busy)]
