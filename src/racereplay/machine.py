@@ -1,11 +1,11 @@
 """Deterministic seeded execution of simulated thread programs.
 
-Scheduling draws one value per step from a splitmix64 sequence and picks
-uniformly (value mod k) among the k runnable threads in ascending thread-id
-order, so identical (program, seed) pairs produce bit-identical event
-streams; an observer sees a run and never changes its schedule. A thread is
-runnable when it has been created, has not exited, and its next operation
-can complete now.
+Step s of a run (from 0) owns output s of the splitmix64 sequence from
+the seed. A step with k >= 2 runnable threads runs the thread at index
+(output mod k) among them in ascending thread-id order, so identical
+(program, seed) pairs produce bit-identical event streams; an observer
+sees a run and never changes its schedule. A thread is runnable when it
+has been created, has not exited, and its next operation can complete now.
 
 Thread start is an explicit synchronisation step. ``Op.START`` never
 appears in program text: the machine appends one to each body, after its
@@ -46,9 +46,9 @@ step between plain ops draws in O(1).
 The op semantics exist once: ``_plain`` runs a plain op and ``_step`` a
 gate op, applying its state change and its waiter-mask change. ``run``,
 the scheduler's one step loop, draws a thread and runs its next op
-through one of them, with the splitmix64 draw inlined. The replay driver
-(``replay.py``) runs the same two methods in the recorded sync order,
-with no scheduler, and asks ``_block_reason`` before each gate op.
+through one of them. The replay driver (``replay.py``) runs the same two
+methods in the recorded sync order, with no scheduler, and asks
+``_block_reason`` before each gate op.
 
 Every gate op but an EXIT that no thread joins emits exactly one SYNC
 event, and a body runs each of its ops at most once, START first. So a
@@ -65,16 +65,24 @@ event)`` with each event, stops once that returns a truthy value, and a
 caller that needs the stream keeps it there. Replay takes the same
 observer.
 
-With one runnable thread the draw's output is not mixed (any value mod 1
-is 0), but the state still advances, so the generator state after ``s``
-steps is ``seed + s * _GOLDEN`` mod 2**64 whichever threads ran. ``pc``,
-``regs``, ``memory`` and ``status`` are current whenever the observer runs;
-``steps`` and the generator state are written back when ``run`` returns
-or raises.
+A step with one runnable thread reads no output (any value mod 1 is 0).
+A step with k >= 2 reads its output from ``draws``, a block of outputs
+from ``splitmix64_block``; a new block is drawn only when the step falls
+past the current one, and starts at that step. Its size is LANES or the
+number of steps a complete run has left, if fewer: every body is
+straight-line, so a complete run takes one step per op of every body and
+one START per created thread, a count fixed before the run starts. So a
+run draws at most ceil(steps / LANES) blocks, and none if it never has
+two threads runnable. The generator state after ``s`` steps is ``seed + s
+* _GOLDEN`` mod 2**64 whichever threads ran. ``pc``, ``regs``, ``memory``
+and ``status`` are current whenever the observer runs; ``steps`` and the
+generator state are written back when ``run`` returns or raises.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Callable, NamedTuple, Optional
@@ -89,13 +97,63 @@ _GOLDEN = 0x9E3779B97F4A7C15
 def splitmix64(state: int) -> tuple[int, int]:
     """One splitmix64 step: returns (next state, output value).
 
-    ``Machine.run`` inlines this step; this function is the reference.
+    The reference that ``splitmix64_block`` is tested against.
     """
     state = (state + _GOLDEN) & MASK64
     z = state
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
     return state, z ^ (z >> 31)
+
+
+# The most outputs one ``splitmix64_block`` call draws, and its constants:
+# lane i of each is bits 128*i .. 128*i + 127. ``_ONES`` holds 1 in every
+# lane, ``_LOW64`` the low 64 bits of every lane, ``_STRIDES`` (i+1)*_GOLDEN
+# in lane i.
+LANES = 1024
+_ONES = int.from_bytes((b"\1" + bytes(15)) * LANES, "little")
+_LOW64 = _ONES * MASK64
+_STRIDES = int.from_bytes(b"".join(((i + 1) * _GOLDEN).to_bytes(16, "little")
+                                   for i in range(LANES)), "little")
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def splitmix64_block(state: int, n: int) -> array:
+    """The next ``n <= LANES`` splitmix64 outputs from the 64-bit ``state``.
+
+    Output i is what ``splitmix64`` gives after i+1 steps from ``state``,
+    bit for bit. The block is computed in one Python int that holds one
+    128-bit lane per output, so each big-int operation does the work of
+    ``n`` single steps:
+
+    - lane i starts as ``state + (i+1)*_GOLDEN``, below 2**75, so no
+      carry leaves it; masking it to 64 bits gives that value mod 2**64,
+      the state of step i+1;
+    - a right shift by 30, 27 or 31 moves the low 64 bits of lane i+1
+      into bits 98, 101 and 97 upward of lane i, never below bit 97, and
+      the mask to 64 bits that follows each xor clears them (the last
+      shift's are left in place: only the low 64 bits are read out);
+    - a lane masked to 64 bits times a 64-bit constant stays below
+      2**128, so no carry crosses into the next lane, and the mask after
+      it gives the product mod 2**64.
+
+    The lanes are read out as little-endian bytes, so the outputs are the
+    same on every platform; ``array("Q")`` items are 8 bytes on every
+    platform CPython supports.
+    """
+    if not 0 <= n <= LANES:
+        raise ValueError(f"a block holds 0 to {LANES} outputs, not {n}")
+    ones, strides, low64 = _ONES, _STRIDES, _LOW64
+    if n < LANES:
+        low = (1 << 128 * n) - 1
+        ones, strides, low64 = ones & low, strides & low, low64 & low
+    z = (state * ones + strides) & low64
+    z = ((z ^ (z >> 30)) & low64) * 0xBF58476D1CE4E5B9 & low64
+    z = ((z ^ (z >> 27)) & low64) * 0x94D049BB133111EB & low64
+    words = array("Q", (z ^ (z >> 31)).to_bytes(16 * n, "little"))
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return words[::2]  # each lane's low word
 
 
 class EventKind(IntEnum):
@@ -113,7 +171,7 @@ _WAIT_OPS = frozenset((Op.LOCK, Op.SEM_WAIT, Op.JOIN))
 
 # Enum members read once or more per step, bound as module globals: reading
 # one through its class costs about four times a global lookup.
-_LOAD, _STORE, _ADDI, _SET = Op.LOAD, Op.STORE, Op.ADDI, Op.SET
+_LOAD, _STORE, _ADDI = Op.LOAD, Op.STORE, Op.ADDI
 _LOCK, _UNLOCK, _SEM_WAIT, _SEM_POST = Op.LOCK, Op.UNLOCK, Op.SEM_WAIT, Op.SEM_POST
 _CREATE, _JOIN, _EXIT = Op.CREATE, Op.JOIN, Op.EXIT
 _LOAD_EVENT, _STORE_EVENT, _SYNC_EVENT = EventKind.LOAD, EventKind.STORE, EventKind.SYNC
@@ -300,18 +358,26 @@ class Machine:
         ids = _bit_ids(runnable)
         k = len(ids)
         rng, steps = self._rng, self.steps
+        first = steps
+        # Every op of every body runs once in a complete run, main's START
+        # excepted, so that run takes ``total`` steps.
+        total = sum(map(len, code)) - 1
+        draws, base, end = (), steps, steps  # draws[i] is step base+i's
         seq = 0
         try:
             while left:
                 if not k:
                     raise DeadlockError(self._blocked_report(), memory, steps)
-                rng = (rng + _GOLDEN) & MASK64  # splitmix64, inlined
                 if k == 1:
                     tid = ids[0]
                 else:
-                    z = ((rng ^ (rng >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-                    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-                    tid = ids[(z ^ (z >> 31)) % k]
+                    if steps >= end:
+                        base = steps
+                        draws = splitmix64_block(
+                            (rng + (steps - first) * _GOLDEN) & MASK64,
+                            min(LANES, total - steps))
+                        end = base + len(draws)
+                    tid = ids[draws[steps - base] % k]
                 steps += 1
                 body = code[tid]
                 ins = body[pc[tid]]
@@ -341,7 +407,8 @@ class Machine:
                         return RunResult(memory, events, steps)
             return RunResult(memory, events, steps)
         finally:
-            self._rng, self.steps = rng, steps
+            self._rng = (rng + (steps - first) * _GOLDEN) & MASK64
+            self.steps = steps
 
 
 def _bit_ids(mask: int) -> list:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from operator import ge
 
 from .detector import RaceReport, RaceSide
-from .errors import MismatchError, RaceReplayError
+from .errors import MismatchError, ParseError
 from .identify import InstructionSite
 from .program import Op, Program
 
@@ -45,9 +45,11 @@ def _parse_side(value: str) -> RaceSide:
     for item in head[1:]:
         key, _, val = item.partition("=")
         fields[key] = val
-    clock = tuple(int(c) for c in fields["clock"].split(",")) if "clock" in fields else ()
+    if "clock" not in fields:
+        raise ValueError(f"side {value!r} has no clock=")
     side = RaceSide(tid=tid, segment=int(fields["seg"]),
-                    clock=clock, kind=fields["kind"])
+                    clock=tuple(int(c) for c in fields["clock"].split(",")),
+                    kind=fields["kind"])
     if side.tid < 0 or side.segment < 0:
         raise ValueError(f"negative thread or segment in {value!r}")
     if side.kind not in ("load", "store"):
@@ -79,7 +81,7 @@ def parse_report_record(text: str) -> RaceReport:
             continue
         key, sep, value = line.partition("=")
         if not sep:
-            raise RaceReplayError(f"bad report line: {line!r}")
+            raise ParseError(f"bad report line: {line!r}")
         fields[key] = value
     try:
         witnesses = tuple(int(w, 16) for w in fields["witnesses"].split(","))
@@ -101,7 +103,7 @@ def parse_report_record(text: str) -> RaceReport:
             instructions = (_parse_site(fields["i1"], side1, witnesses[0]),
                             _parse_site(fields["i2"], side2, witnesses[0]))
     except (KeyError, ValueError, IndexError) as exc:
-        raise RaceReplayError(f"malformed report record: {exc}")
+        raise ParseError(f"malformed report record: {exc}")
     return RaceReport(witnesses=witnesses, side1=side1, side2=side2,
                       instructions=instructions)
 

@@ -14,7 +14,7 @@ import racereplay
 from racereplay import generator, workloads
 from racereplay.cli import main
 from racereplay.detector import detect
-from racereplay.errors import RaceReplayError
+from racereplay.errors import ParseError, RaceReplayError
 from racereplay.identify import identify
 from racereplay.oracle import expected_instruction_pair, full_access_log
 from racereplay.program import parse_program
@@ -198,6 +198,24 @@ def test_identify_garbled_report_usage_error(racy, tmp_path, capsys):
     assert main(["record", racy, "--seed", "8", "-o", trace]) == 0
     assert main(["identify", racy, "--trace", trace, "--report", str(report)]) == 1
     assert "malformed report record" in capsys.readouterr().err
+
+
+CLOCKLESS_REPORT = ("witnesses=0x00001000\nt1=1 seg=0 kind=store\n"
+                    "t2=2 seg=0 kind=store\n")
+
+
+def test_report_side_without_a_clock_is_refused(racy, tmp_path, capsys):
+    # Detect writes a clock on every side, and identify cannot place a side
+    # without one, so the parser refuses it.
+    with pytest.raises(ParseError, match="malformed report record: side "
+                       "'1 seg=0 kind=store' has no clock="):
+        parse_report_record(CLOCKLESS_REPORT)
+    trace = str(tmp_path / "c.trace")
+    report = tmp_path / "c.report"
+    report.write_text(CLOCKLESS_REPORT)
+    assert main(["record", racy, "--seed", "8", "-o", trace]) == 0
+    assert main(["identify", racy, "--trace", trace, "--report", str(report)]) == 1
+    assert "has no clock=" in capsys.readouterr().err
 
 
 def test_parsed_report_prints_as_the_original():

@@ -1,7 +1,11 @@
 """Random workload generation."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from racereplay.detector import CLEAN, RACE, detect
-from racereplay.generator import generate_program
+from racereplay.generator import _BLOCK, Rng, generate_program
+from racereplay.machine import MASK64, splitmix64
 from racereplay.program import parse_program
 from racereplay.record import record_execution
 
@@ -12,6 +16,15 @@ def test_deterministic_output():
     assert a == b
     c = generate_program(seed=6, threads=3, ops_per_thread=30)
     assert a != c
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(seed=st.one_of(st.sampled_from([0, MASK64]), st.integers(0, MASK64)))
+def test_rng_draws_the_chained_reference_across_blocks(seed):
+    rng, state = Rng(seed), seed
+    for _ in range(4 * _BLOCK + 1):  # past four block boundaries
+        state, value = splitmix64(state)
+        assert rng.u64() == value
 
 
 def test_generated_programs_parse_and_run():

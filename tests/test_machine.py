@@ -1,12 +1,15 @@
 """Seeded scheduler and execution semantics."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from racereplay import machine as machine_mod
 from racereplay import workloads
 from racereplay.errors import DeadlockError, MachineError
 from racereplay.generator import generate_program
-from racereplay.machine import _GOLDEN, MASK64, EventKind, Machine, run, splitmix64
+from racereplay.machine import (_GOLDEN, LANES, MASK64, EventKind, Machine, run,
+                                splitmix64, splitmix64_block)
 from racereplay.program import Op, parse_program
 
 
@@ -27,6 +30,42 @@ def test_splitmix64_reference_sequence():
         assert va == vb
     state, first = splitmix64(0)
     assert first == 0xE220A8397B1DCDAF  # widely published first output
+
+
+def _chained(state, n):
+    """The next ``n`` outputs of the one-step reference from ``state``."""
+    out = []
+    for _ in range(n):
+        state, value = splitmix64(state)
+        out.append(value)
+    return out
+
+
+def _block_cases():
+    """(n, state) pairs: states 0 and MASK64, any state, and states whose
+    lanes wrap past 2**64 at a lane inside the block."""
+    def states(n):
+        wrapping = st.builds(lambda lane, low: (low - lane * _GOLDEN) & MASK64,
+                             st.integers(1, n), st.integers(0, _GOLDEN - 1))
+        return st.one_of(st.sampled_from([0, MASK64]), st.integers(0, MASK64),
+                         wrapping)
+    return st.integers(1, LANES).flatmap(lambda n: st.tuples(st.just(n), states(n)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_block_cases())
+@example(case=(LANES, 0))
+@example(case=(LANES, MASK64))
+@example(case=(LANES, (-(LANES // 2) * _GOLDEN) & MASK64))
+def test_block_equals_chained_reference(case):
+    n, state = case
+    assert list(splitmix64_block(state, n)) == _chained(state, n)
+
+
+def test_block_of_no_outputs_and_past_the_lanes():
+    assert list(splitmix64_block(5, 0)) == []
+    with pytest.raises(ValueError, match="0 to 1024 outputs, not 1025"):
+        splitmix64_block(5, LANES + 1)
 
 
 def _ends_with(text, seed, observer=None):
@@ -313,3 +352,19 @@ def test_draw_list_is_rebuilt_only_at_gate_ops(monkeypatch):
     assert res.steps > 4 * gate_steps
     assert len(builds) <= 2 * gate_steps + 1
     assert max(bin(m).count("1") for m in builds) > 32
+
+
+def test_block_draws_are_bounded_by_steps(monkeypatch):
+    # Only a step with two or more runnable threads reads a draw, and one
+    # block serves up to LANES steps: a single-thread program builds no
+    # block, and ping-pong at most one per LANES steps.
+    sizes = []
+    block = machine_mod.splitmix64_block
+    monkeypatch.setattr(machine_mod, "splitmix64_block",
+                        lambda state, n: sizes.append(n) or block(state, n))
+    text = "thread 0:\n" + "  SET r0 1\n  STORE r0 0x00000010\n" * 600 + "  EXIT\n"
+    assert run(parse_program(text), 3).steps == 1201
+    assert sizes == []
+    res = run(parse_program(workloads.ping_pong(2000, slack=2)), 3)
+    assert res.steps > 10 * LANES
+    assert 0 < len(sizes) <= -(-res.steps // LANES)

@@ -1,5 +1,6 @@
 """Repository hygiene: git tracks no file that .gitignore marks as
-generated, no module imports a name it never reads, every function under
+generated, no module imports a name it never reads, no module under
+``src/`` binds a private module-level name it never reads, every function under
 ``src/`` is used somewhere, every defaulted parameter of one is passed
 somewhere and left out somewhere, every dataclass field under ``src/``
 is read somewhere, and every method under ``src/`` is referred to as an
@@ -82,6 +83,46 @@ def test_unused_import_check_sees_reads_in_all_and_string_annotations():
         "    return os.sep, d\n"
         "y: 'g' = 1\n")
     assert _unused_imports(tree) == [(3, "b")]
+
+
+def _unread_private_globals(tree) -> list:
+    """(line, name) of each private module-level name the module assigns
+    and never loads. Private means one leading underscore and no dunder;
+    the names of a tuple target count one by one."""
+    bound = {}
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign)
+                   else [])
+        for target in targets:
+            for name in ast.walk(target):
+                if (isinstance(name, ast.Name) and name.id.startswith("_")
+                        and not name.id.startswith("__")):
+                    bound.setdefault(name.id, name.lineno)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted((line, name) for name, line in bound.items()
+                  if name not in read)
+
+
+def test_no_module_under_src_binds_a_private_global_it_never_reads():
+    unread = [f"{label}:{line}: {name}"
+              for label, tree in _parsed("src").items()
+              for line, name in _unread_private_globals(tree)]
+    assert unread == []
+
+
+def test_unread_private_global_check_sees_tuple_targets_and_loads():
+    tree = ast.parse(
+        "_A, _B = 1, 2\n"
+        "_C: int = 3\n"
+        "_D = 4\n"
+        "__all__ = ['x']\n"
+        "PUBLIC = 5\n"
+        "def f():\n"
+        "    _E = 6\n"
+        "    return _A, _D\n")
+    assert _unread_private_globals(tree) == [(1, "_B"), (2, "_C")]
 
 
 def _defs_and_refs(tree):
