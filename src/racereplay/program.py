@@ -147,28 +147,43 @@ def render_instruction(program: Program, ins: Instruction) -> str:
     return "EXIT"
 
 
+# The most characters of one token that an error message repeats.
+_SHOWN = 40
+
+
+def _shown(tok: str, quote: str = "'") -> str:
+    """A token as an error message shows it: whole, in quotes, when it has
+    at most ``_SHOWN`` characters, else its first ``_SHOWN`` and its length.
+    So a message stays short however long a line of the input is."""
+    if len(tok) <= _SHOWN:
+        return f"{quote}{tok}{quote}"
+    return f"{quote}{tok[:_SHOWN]}...{quote} ({len(tok)} characters)"
+
+
 def _parse_register(tok: str, line: int) -> int:
     if tok.startswith("r"):
         try:
             n = int(tok[1:])
         except ValueError:
-            raise ParseError(f"undeclared register '{tok}'", line)
+            raise ParseError(f"undeclared register {_shown(tok)}", line)
         if 0 <= n < NUM_REGISTERS:
             return n
-    raise ParseError(f"undeclared register '{tok}' (registers are r0..r{NUM_REGISTERS - 1})", line)
+    raise ParseError(f"undeclared register {_shown(tok)} "
+                     f"(registers are r0..r{NUM_REGISTERS - 1})", line)
 
 
 def _parse_int(tok: str, line: int, what: str, base: int = 0) -> int:
     try:
         return int(tok, base)
     except ValueError:
-        raise ParseError(f"bad {what} '{tok}'", line)
+        raise ParseError(f"bad {what} {_shown(tok)}", line)
 
 
 def _parse_address(tok: str, line: int) -> int:
     value = _parse_int(tok, line, "address", 16)
     if not 0 <= value <= ADDR_MASK:
-        raise ParseError(f"address 0x{value:X} outside 32-bit range", line)
+        raise ParseError(f"address {_shown(f'0x{value:X}', '')} outside 32-bit range",
+                         line)
     return value
 
 
@@ -183,7 +198,7 @@ def _parse_instruction(line: str, lineno: int, mutexes: dict,
     mnemonic = tokens[0]
     op = _MNEMONICS.get(mnemonic)
     if op is None:
-        raise ParseError(f"unknown instruction '{mnemonic}'", lineno)
+        raise ParseError(f"unknown instruction {_shown(mnemonic)}", lineno)
     args = tokens[1:]
     if op in _ADDRESS_OPS:
         if len(args) != 2:
@@ -201,14 +216,14 @@ def _parse_instruction(line: str, lineno: int, mutexes: dict,
             raise ParseError(f"{mnemonic} takes a {'mutex' if mutex else 'semaphore'} name",
                              lineno)
         if args[0] not in (mutexes if mutex else semaphores):
-            raise ParseError(f"undeclared sync object '{args[0]}'", lineno)
+            raise ParseError(f"undeclared sync object {_shown(args[0])}", lineno)
         return Instruction(op, mutexes[args[0]] if mutex else semaphores[args[0]][0])
     if op in THREAD_OPS:
         if len(args) != 1:
             raise ParseError(f"{mnemonic} takes a thread id", lineno)
         target = _parse_int(args[0], lineno, "thread id", 10)
         if target not in threads:
-            raise ParseError(f"undeclared thread {target}", lineno)
+            raise ParseError(f"undeclared thread {_shown(str(target), '')}", lineno)
         return Instruction(op, target)
     if args:
         raise ParseError("EXIT takes no operands", lineno)
@@ -254,7 +269,7 @@ def parse_program(text: str) -> Program:
                 raise ParseError("expected 'thread <id>:'", lineno)
             tid = _parse_int(tokens[1][:-1], lineno, "thread id", 10)
             if tid in bodies:
-                raise ParseError(f"duplicate thread {tid}", lineno)
+                raise ParseError(f"duplicate thread {_shown(str(tid), '')}", lineno)
             if current_tid is not None:
                 bodies[current_tid] = range(bodies[current_tid].start, index)
             bodies[tid] = range(lineno, len(lines))
@@ -265,19 +280,21 @@ def parse_program(text: str) -> Program:
                 if len(tokens) != 2:
                     raise ParseError("expected 'mutex <name>'", lineno)
                 if tokens[1] in mutex_names or any(n == tokens[1] for n, _ in sem_decls):
-                    raise ParseError(f"duplicate sync object '{tokens[1]}'", lineno)
+                    raise ParseError(f"duplicate sync object {_shown(tokens[1])}",
+                                     lineno)
                 mutex_names.append(tokens[1])
             elif head == "sem":
                 if len(tokens) != 3:
                     raise ParseError("expected 'sem <name> <initial>'", lineno)
                 if tokens[1] in mutex_names or any(n == tokens[1] for n, _ in sem_decls):
-                    raise ParseError(f"duplicate sync object '{tokens[1]}'", lineno)
+                    raise ParseError(f"duplicate sync object {_shown(tokens[1])}",
+                                     lineno)
                 init = _parse_int(tokens[2], lineno, "semaphore count", 10)
                 if init < 0:
                     raise ParseError("semaphore count must be non-negative", lineno)
                 if init > WORD_MASK:
-                    raise ParseError(f"semaphore count {init} outside 32-bit range",
-                                     lineno)
+                    raise ParseError(f"semaphore count {_shown(str(init), '')} "
+                                     "outside 32-bit range", lineno)
                 sem_decls.append((tokens[1], init))
             elif head == "mem":
                 if len(tokens) != 3:
@@ -285,14 +302,16 @@ def parse_program(text: str) -> Program:
                 addr = _parse_address(tokens[1], lineno)
                 memory[addr] = _parse_int(tokens[2], lineno, "value") & WORD_MASK
             else:
-                raise ParseError(f"unknown directive '{head}'", lineno)
+                raise ParseError(f"unknown directive {_shown(head)}", lineno)
         # Otherwise a body line such as 'threadx', rejected below.
 
     if MAIN_THREAD not in bodies:
         raise ParseError("program must declare thread 0 (main)")
     tids = sorted(bodies)
     if tids != list(range(len(tids))):
-        raise ParseError(f"thread ids must be contiguous 0..{len(tids) - 1}, got {tids}")
+        gap = next(t for t in range(len(tids)) if t not in bodies)
+        raise ParseError(f"thread ids must be contiguous 0..{len(tids) - 1}, "
+                         f"but thread {gap} is missing")
 
     # Object id space: mutexes, semaphores, start handshakes, exit handshakes.
     obj_ids: dict[str, int] = {}

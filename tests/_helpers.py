@@ -1,7 +1,8 @@
 """Shared helpers for the test suite."""
 
 from racereplay.detector import DetectorListener
-from racereplay.machine import EventKind
+from racereplay.machine import EventKind, Machine
+from racereplay.program import Op
 from racereplay.replay import replay_execution
 
 
@@ -14,6 +15,39 @@ TWO_RACES = ("mutex m\n"
              "  LOCK m\n  UNLOCK m\n  SET r1 4\n  STORE r1 0x00000200\n  EXIT\n"
              "thread 2:\n  SET r0 2\n  STORE r0 0x00000100\n"
              "  LOCK m\n  UNLOCK m\n  SET r1 3\n  STORE r1 0x00000200\n  EXIT\n")
+
+
+def wide_fork_join(n):
+    """Main CREATEs n threads that each store once, then JOINs them all."""
+    lines = ["thread 0:"] + [f"  CREATE {t}" for t in range(1, n + 1)]
+    lines += [f"  JOIN {t}" for t in range(1, n + 1)] + ["  EXIT"]
+    for t in range(1, n + 1):
+        lines += [f"thread {t}:", f"  STORE r0 0x{16 * t:08X}", "  EXIT"]
+    return "\n".join(lines) + "\n"
+
+
+class MaskLog(Machine):
+    """A machine that logs, in ``masks``, the runnable mask at each point
+    where ``run`` compares it with the last one: at the start, after every
+    arrival at a next op, and after an EXIT, which no arrival follows."""
+
+    def __init__(self, program, seed, observer=None):
+        super().__init__(program, seed, observer)
+        self.masks = []
+
+    def _arrive(self, tid):
+        super()._arrive(tid)
+        self.masks.append(self.live & ~self.blocked)
+
+    def _step(self, tid, ins, seq):
+        event = super()._step(tid, ins, seq)
+        if ins[0] is Op.EXIT:
+            self.masks.append(self.live & ~self.blocked)
+        return event
+
+    def changes(self):
+        """How many times the runnable mask changed."""
+        return sum(a != b for a, b in zip(self.masks, self.masks[1:]))
 
 
 def replay_events(program, trace):

@@ -173,6 +173,21 @@ def test_malformed_program_usage_error(tmp_path, capsys):
     assert "undeclared sync object" in err
 
 
+@pytest.mark.parametrize("line, message", [
+    ("SET r0 " + "9" * 2_000_000, "bad constant '99999"),
+    ("LOCK " + "m" * 3_000_000, "undeclared sync object 'mmmmm"),
+])
+def test_huge_token_gives_a_short_error(tmp_path, capsys, line, message):
+    # The message quotes the token's head and its length, not the token.
+    path = tmp_path / "huge.prog"
+    path.write_text(f"mutex m\nthread 0:\n  {line}\n  EXIT\n")
+    assert main(["record", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert f"({len(line.split()[-1])} characters)" in err
+    assert all(len(text.encode()) < 200 for text in err.splitlines()), len(err)
+
+
 def test_non_utf8_program_usage_error(tmp_path, capsys):
     path = tmp_path / "bin.prog"
     path.write_bytes(b"thread 0:\n  EXIT \xff\n")

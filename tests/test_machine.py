@@ -1,6 +1,7 @@
 """Seeded scheduler and execution semantics."""
 
 import pytest
+from _helpers import MaskLog, wide_fork_join
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -340,18 +341,21 @@ def test_draw_list_is_rebuilt_only_at_gate_ops(monkeypatch):
     # 64 threads with no locks: nearly every step is a memory step with many
     # threads runnable. The draw indexes a list of runnable ids that is built
     # again only after a gate step or when a memory step reaches a gate op,
-    # so building it costs nothing per memory step.
+    # so building it costs nothing per memory step. A run builds each
+    # mask's list once, however often it passes through that mask.
     builds = []
     bit_ids = machine_mod._bit_ids
     monkeypatch.setattr(machine_mod, "_bit_ids",
                         lambda mask: builds.append(mask) or bit_ids(mask))
     prog = parse_program(generate_program(3, threads=64, ops_per_thread=100,
                                           lock_density=0.0))
-    res = run(prog, 1)
+    machine = MaskLog(prog, 1)
+    res = machine.run()
     gate_steps = sum(1 for e in res.events if e.kind is EventKind.SYNC) + prog.n_threads
     assert res.steps > 4 * gate_steps
     assert len(builds) <= 2 * gate_steps + 1
     assert max(bin(m).count("1") for m in builds) > 32
+    assert len(builds) <= len(set(machine.masks))
 
 
 def test_block_draws_are_bounded_by_steps(monkeypatch):
@@ -368,3 +372,28 @@ def test_block_draws_are_bounded_by_steps(monkeypatch):
     res = run(parse_program(workloads.ping_pong(2000, slack=2)), 3)
     assert res.steps > 10 * LANES
     assert 0 < len(sizes) <= -(-res.steps // LANES)
+
+
+def test_draw_follows_the_reference_across_memo_clears(monkeypatch):
+    # A run keeps each mask's id list for reuse until the lists would hold
+    # more ids and mask words than the run takes steps; then it drops them
+    # all. A 300-thread fork/join meets 570 masks holding 3 651 ids and
+    # mask words in 1 501 steps, so it drops them. Every step of it is a
+    # gate step or a STORE that brings its thread to EXIT, so the mask log
+    # holds the runnable mask before each step and one after the last, and
+    # each event's thread must be the one the draw rule picks from a list
+    # built afresh (only main's last EXIT emits no event).
+    builds = []
+    bit_ids = machine_mod._bit_ids
+    monkeypatch.setattr(machine_mod, "_bit_ids",
+                        lambda mask: builds.append(mask) or bit_ids(mask))
+    prog = parse_program(wide_fork_join(300))
+    machine = MaskLog(prog, 11)
+    res = machine.run()
+    assert len(builds) > len(set(builds))  # the memo was dropped
+    assert len(machine.masks) - 1 == res.steps == len(res.events) + 1
+    state = 11
+    for event, mask in zip(res.events, machine.masks):
+        state, value = splitmix64(state)
+        ids = bit_ids(mask)
+        assert event.tid == ids[value % len(ids)]

@@ -117,6 +117,44 @@ def test_thread_ids_contiguous():
         parse_program(text)
 
 
+def test_thread_id_gap_is_named():
+    # The message names the lowest missing id, not every declared one.
+    sections = "".join(f"thread {t}:\n  EXIT\n" for t in (0, 2, 3, 10**6))
+    with pytest.raises(ParseError) as err:
+        parse_program(sections)
+    assert str(err.value) == ("thread ids must be contiguous 0..3, "
+                              "but thread 1 is missing")
+    with pytest.raises(ParseError, match="0..1, but thread 1 is missing"):
+        parse_program("thread -5:\n  EXIT\nthread 0:\n  EXIT\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    # 40 characters are shown whole, 41 by their head and length.
+    ("mutex " + "a" * 40 + "\nsem " + "a" * 40 + " 1\nthread 0:\n  EXIT\n",
+     "line 2: duplicate sync object '" + "a" * 40 + "'"),
+    ("mutex " + "a" * 41 + "\nmutex " + "a" * 41 + "\nthread 0:\n  EXIT\n",
+     "line 2: duplicate sync object '" + "a" * 40 + "...' (41 characters)"),
+    ("thread 0:\n  " + "Z" * 50 + "\n  EXIT\n",
+     "line 2: unknown instruction '" + "Z" * 40 + "...' (50 characters)"),
+    ("q" * 45 + "\nthread 0:\n  EXIT\n",
+     "line 1: unknown directive '" + "q" * 40 + "...' (45 characters)"),
+    ("thread 0:\n  SET r" + "1" * 60 + " 1\n  EXIT\n",
+     "line 2: undeclared register 'r" + "1" * 39 + "...' (61 characters) "
+     "(registers are r0..r15)"),
+    ("thread 0:\n  LOAD r0 0x" + "F" * 60 + "\n  EXIT\n",
+     "line 2: address 0x" + "F" * 38 + "... (62 characters) outside 32-bit range"),
+    ("sem s " + "7" * 50 + "\nthread 0:\n  EXIT\n",
+     "line 1: semaphore count " + "7" * 40 + "... (50 characters) "
+     "outside 32-bit range"),
+    ("thread 0:\n  JOIN " + "4" * 50 + "\n  EXIT\n",
+     "line 2: undeclared thread " + "4" * 40 + "... (50 characters)"),
+])
+def test_error_text_shows_a_long_token_by_its_head_and_length(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_program(text)
+    assert str(err.value) == message
+
+
 def test_missing_main():
     with pytest.raises(ParseError, match="thread 0"):
         parse_program("mutex m\n")

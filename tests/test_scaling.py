@@ -5,12 +5,17 @@ are on counts. Each bound is set where the method puts it, not loosened
 to pass.
 """
 
-import pytest
+import tracemalloc
 
+import pytest
+from _helpers import MaskLog, wide_fork_join
+
+import racereplay.machine as machine_mod
 import racereplay.program as program_mod
 from racereplay import workloads
 from racereplay.detector import CLEAN, detect
 from racereplay.generator import generate_program
+from racereplay.machine import run
 from racereplay.program import parse_program
 from racereplay.record import record_execution
 
@@ -68,3 +73,46 @@ def test_parse_work_stays_flat_in_repeated_lines(monkeypatch):
         parse_program(workloads.ping_pong(turns))
         parses[turns] = calls
     assert len(set(parses.values())) == 1, parses
+
+
+def test_record_builds_each_runnable_list_once(monkeypatch):
+    # 25 600 lock-synchronised ops over 2 to 64 threads. With one contended
+    # mutex the runnable mask changes at nearly every LOCK and UNLOCK, yet
+    # it keeps returning to a few masks: a run builds each one's id list
+    # once, since every list the run holds fits within its step count.
+    # At 64 threads that is 2 206 builds for 12 384 changes.
+    builds = []
+    bit_ids = machine_mod._bit_ids
+    monkeypatch.setattr(machine_mod, "_bit_ids",
+                        lambda mask: builds.append(mask) or bit_ids(mask))
+    for n in THREADS:
+        builds.clear()
+        prog = parse_program(generate_program(5, threads=n,
+                                              ops_per_thread=25600 // n,
+                                              lock_density=1.0))
+        machine = MaskLog(prog, 1)
+        steps = machine.run().steps
+        masks = set(machine.masks)
+        held = sum(bin(m).count("1") + (m.bit_length() >> 6) for m in masks)
+        assert held <= steps  # the memo never reaches its bound
+        assert sorted(builds) == sorted(masks), n  # each mask built once
+        if n >= 4:
+            assert 4 * len(builds) <= machine.changes(), n
+
+
+def test_record_memory_on_a_wide_fork_join():
+    # 2 000 threads pass through about 3 800 runnable masks, nearly all
+    # distinct and up to 2 000 bits wide. Record's run kept 10 000 events
+    # and peaked at 2.32 MiB with no id-list memo; with the memo bounded by
+    # the run's step count in ids and mask words it peaks at 2.40 MiB
+    # (CPython 3.11.7). A memo bounded in ids alone peaked at 3.06-3.17
+    # MiB, as its keys went uncounted.
+    prog = parse_program(wide_fork_join(2000))
+    tracemalloc.start()
+    try:
+        res = run(prog, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(res.events) == 5 * 2000
+    assert peak <= 2.6 * 2**20, peak / 2**20
