@@ -1,4 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how their messages
+quote input."""
+
+# The most characters of one token that an error message repeats.
+_SHOWN = 40
+
+
+def shown(tok: str, quote: str = "'") -> str:
+    """A token as an error message shows it: whole, in quotes, when it has
+    at most ``_SHOWN`` characters, else its first ``_SHOWN`` and its length.
+    So a message stays short however long a line of the input is."""
+    if len(tok) <= _SHOWN:
+        return f"{quote}{tok}{quote}"
+    return f"{quote}{tok[:_SHOWN]}...{quote} ({len(tok)} characters)"
 
 
 class RaceReplayError(Exception):

@@ -31,41 +31,41 @@ class Rng:
 
     ``u64`` gives splitmix64's outputs from the seed in order, as the
     one-step ``splitmix64`` would, but draws them ``_BLOCK`` at a time
-    with ``splitmix64_block``; ``_state`` is the state after the last
-    output drawn.
+    with ``splitmix64_block``. ``_block`` holds the drawn outputs not yet
+    given, reversed, so a draw is one ``list.pop`` with no further call;
+    ``_state`` is the state after the last output drawn. The generator
+    binds ``u64`` once and derives every bounded draw from it inline.
     """
 
     def __init__(self, seed: int):
         self._state = seed & MASK64
-        self._next = iter(()).__next__
+        self._block: list = []
 
     def u64(self) -> int:
-        try:
-            return self._next()
-        except StopIteration:
-            self._next = iter(splitmix64_block(self._state, _BLOCK)).__next__
+        block = self._block
+        if not block:
+            block += reversed(splitmix64_block(self._state, _BLOCK))
             self._state = (self._state + _BLOCK * _GOLDEN) & MASK64
-            return self._next()
-
-    def below(self, n: int) -> int:
-        return self.u64() % n
-
-    def chance(self, p: float) -> bool:
-        return self.u64() < int(p * 2**64)
-
-    def choice(self, seq):
-        return seq[self.below(len(seq))]
+        return block.pop()
 
 
-def _shared_pool(rng: Rng, size: int) -> list:
+def _threshold(p: float) -> int:
+    """The bound under which a ``u64`` output falls with probability p."""
+    return int(p * 2**64)
+
+
+_P25, _P50, _P60 = _threshold(0.25), _threshold(0.5), _threshold(0.6)
+
+
+def _shared_pool(u64, size: int) -> list:
     """Word addresses, mostly clustered low with some spread over the full
     32-bit space so all bitmap levels get exercised."""
     pool = []
     for i in range(size):
         if i % 4 == 3:
-            addr = rng.u64() & 0xFFFFFFFC
+            addr = u64() & 0xFFFFFFFC
             while 0x00100000 <= addr < 0x00200000:  # keep clear of private ranges
-                addr = rng.u64() & 0xFFFFFFFC
+                addr = u64() & 0xFFFFFFFC
             pool.append(addr)
         else:
             pool.append(0x00001000 + 4 * i)
@@ -87,14 +87,15 @@ def generate_program(seed: int, threads: int = 3, ops_per_thread: int = 40,
         raise ValueError("ops_per_thread too small for a useful body")
     if shared_addresses < 1:
         raise ValueError("need at least one shared address")
-    rng = Rng(seed)
-    pool = _shared_pool(rng, shared_addresses)
+    u64 = Rng(seed).u64
+    locked_below = _threshold(lock_density)
+    pool = _shared_pool(u64, shared_addresses)
 
     handoffs = []  # (sem name, poster tid, waiter tid, count)
-    if threads >= 3 and rng.chance(0.5):
-        lo = 1 + rng.below(threads - 2)
-        hi = lo + 1 + rng.below(threads - 1 - lo)
-        handoffs.append((f"h{len(handoffs)}", lo, hi, 1 + rng.below(2)))
+    if threads >= 3 and u64() < _P50:
+        lo = 1 + u64() % (threads - 2)
+        hi = lo + 1 + u64() % (threads - 1 - lo)
+        handoffs.append((f"h{len(handoffs)}", lo, hi, 1 + u64() % 2))
 
     lines = ["# generated workload", "mutex g"]
     for name, _, _, _ in handoffs:
@@ -104,15 +105,15 @@ def generate_program(seed: int, threads: int = 3, ops_per_thread: int = 40,
 
     def shared_group(tid: int, budget: int, body: list) -> int:
         """One shared-address access group; returns instructions used."""
-        addr = rng.choice(pool)
-        locked = rng.chance(lock_density)
-        kind = rng.below(3)
+        addr = pool[u64() % len(pool)]
+        locked = u64() < locked_below
+        kind = u64() % 3
         group = []
         if kind == 0:  # read-modify-write
-            group += [f"LOAD r1 0x{addr:08X}", f"ADDI r1 {1 + rng.below(9)}",
+            group += [f"LOAD r1 0x{addr:08X}", f"ADDI r1 {1 + u64() % 9}",
                       f"STORE r1 0x{addr:08X}"]
         elif kind == 1:  # blind write
-            group += [f"SET r2 {rng.below(100)}", f"STORE r2 0x{addr:08X}"]
+            group += [f"SET r2 {u64() % 100}", f"STORE r2 0x{addr:08X}"]
         else:  # read
             group += [f"LOAD r3 0x{addr:08X}"]
         cost = len(group) + (2 if locked else 0)
@@ -126,15 +127,15 @@ def generate_program(seed: int, threads: int = 3, ops_per_thread: int = 40,
         return cost
 
     def private_work(tid: int, budget: int, body: list) -> int:
-        addr = 0x00100000 + tid * 0x1000 + 4 * rng.below(8)
-        choice = rng.below(3)
+        addr = 0x00100000 + tid * 0x1000 + 4 * (u64() % 8)
+        choice = u64() % 3
         if choice == 0 and budget >= 2:
-            body += [f"SET r0 {rng.below(50)}", f"STORE r0 0x{addr:08X}"]
+            body += [f"SET r0 {u64() % 50}", f"STORE r0 0x{addr:08X}"]
             return 2
         if choice == 1 and budget >= 1:
             body.append(f"LOAD r0 0x{addr:08X}")
             return 1
-        body.append(f"ADDI r0 {rng.below(20)}")
+        body.append(f"ADDI r0 {u64() % 20}")
         return 1
 
     def fill_body(tid: int, budget: int, posts: list, waits: list) -> list:
@@ -144,10 +145,10 @@ def generate_program(seed: int, threads: int = 3, ops_per_thread: int = 40,
         sem_ops += [f"SEM_WAIT {n}" for n, c in waits for _ in range(c)]
         budget -= len(sem_ops)
         while used < budget:
-            if sem_ops and rng.chance(0.25):
+            if sem_ops and u64() < _P25:
                 body.append(sem_ops.pop(0))
                 continue
-            step = (shared_group(tid, budget - used, body) if rng.chance(0.6)
+            step = (shared_group(tid, budget - used, body) if u64() < _P60
                     else private_work(tid, budget - used, body))
             if step == 0:
                 step = private_work(tid, budget - used, body)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .detector import RaceReport
-from .errors import IdentifyError, MismatchError
+from .errors import IdentifyError, MismatchError, shown
 from .machine import EventKind
 from .program import Program
 from .replay import replay_execution
@@ -84,8 +84,9 @@ def identify_all(program: Program, trace: SyncTrace, reports) -> list:
     for report in reports:
         for tag, side in (("t1", report.side1), ("t2", report.side2)):
             if side.tid >= n or len(side.clock) != n:
-                raise MismatchError(f"report side {tag} (thread {side.tid}, clock of "
-                                    f"{len(side.clock)}) does not fit a program of {n} threads")
+                raise MismatchError(f"report side {tag} (thread {shown(str(side.tid), '')}, "
+                                    f"clock of {len(side.clock)}) does not fit a "
+                                    f"program of {n} threads")
     if not reports:
         return []
     collector = _Collector(reports, program.n_threads)

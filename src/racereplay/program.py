@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple
 
-from .errors import ParseError
+from .errors import ParseError, shown
 
 WORD_MASK = 0xFFFFFFFF
 ADDR_MASK = 0xFFFFFFFF
@@ -55,13 +55,19 @@ _OP_NAMES = {op: op.name for op in Op}
 # Ops by mnemonic, as program text may spell them: every op but START.
 _MNEMONICS = {op.name: op for op in Op if op is not Op.START}
 # Read once per body line; a global costs a fifth of a read through ``Op``.
-_EXIT = Op.EXIT
+_EXIT, _CREATE, _JOIN = Op.EXIT, Op.CREATE, Op.JOIN
+# Registers by canonical spelling; ``_parse_register`` takes any other.
+_REGISTERS = {f"r{n}": n for n in range(NUM_REGISTERS)}
 
 
 class Instruction(NamedTuple):
     op: Op
     a: int = 0  # register | sync object id | thread id
     b: int = 0  # address | constant
+
+
+# Builds an Instruction without the keyword handling of ``Instruction(...)``.
+_new_tuple = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -147,28 +153,15 @@ def render_instruction(program: Program, ins: Instruction) -> str:
     return "EXIT"
 
 
-# The most characters of one token that an error message repeats.
-_SHOWN = 40
-
-
-def _shown(tok: str, quote: str = "'") -> str:
-    """A token as an error message shows it: whole, in quotes, when it has
-    at most ``_SHOWN`` characters, else its first ``_SHOWN`` and its length.
-    So a message stays short however long a line of the input is."""
-    if len(tok) <= _SHOWN:
-        return f"{quote}{tok}{quote}"
-    return f"{quote}{tok[:_SHOWN]}...{quote} ({len(tok)} characters)"
-
-
 def _parse_register(tok: str, line: int) -> int:
     if tok.startswith("r"):
         try:
             n = int(tok[1:])
         except ValueError:
-            raise ParseError(f"undeclared register {_shown(tok)}", line)
+            raise ParseError(f"undeclared register {shown(tok)}", line)
         if 0 <= n < NUM_REGISTERS:
             return n
-    raise ParseError(f"undeclared register {_shown(tok)} "
+    raise ParseError(f"undeclared register {shown(tok)} "
                      f"(registers are r0..r{NUM_REGISTERS - 1})", line)
 
 
@@ -176,13 +169,13 @@ def _parse_int(tok: str, line: int, what: str, base: int = 0) -> int:
     try:
         return int(tok, base)
     except ValueError:
-        raise ParseError(f"bad {what} {_shown(tok)}", line)
+        raise ParseError(f"bad {what} {shown(tok)}", line)
 
 
 def _parse_address(tok: str, line: int) -> int:
     value = _parse_int(tok, line, "address", 16)
     if not 0 <= value <= ADDR_MASK:
-        raise ParseError(f"address {_shown(f'0x{value:X}', '')} outside 32-bit range",
+        raise ParseError(f"address {shown(f'0x{value:X}', '')} outside 32-bit range",
                          line)
     return value
 
@@ -198,36 +191,42 @@ def _parse_instruction(line: str, lineno: int, mutexes: dict,
     mnemonic = tokens[0]
     op = _MNEMONICS.get(mnemonic)
     if op is None:
-        raise ParseError(f"unknown instruction {_shown(mnemonic)}", lineno)
+        raise ParseError(f"unknown instruction {shown(mnemonic)}", lineno)
     args = tokens[1:]
     if op in _ADDRESS_OPS:
         if len(args) != 2:
             raise ParseError(f"{mnemonic} takes a register and an address", lineno)
-        return Instruction(op, _parse_register(args[0], lineno),
-                           _parse_address(args[1], lineno))
+        reg = _REGISTERS.get(args[0])
+        if reg is None:
+            reg = _parse_register(args[0], lineno)
+        return _new_tuple(Instruction, (op, reg, _parse_address(args[1], lineno)))
     if op in _CONSTANT_OPS:
         if len(args) != 2:
             raise ParseError(f"{mnemonic} takes a register and a constant", lineno)
-        reg = _parse_register(args[0], lineno)
-        return Instruction(op, reg, _parse_int(args[1], lineno, "constant") & WORD_MASK)
+        reg = _REGISTERS.get(args[0])
+        if reg is None:
+            reg = _parse_register(args[0], lineno)
+        value = _parse_int(args[1], lineno, "constant") & WORD_MASK
+        return _new_tuple(Instruction, (op, reg, value))
     if op in OBJECT_OPS:
         mutex = op is Op.LOCK or op is Op.UNLOCK
         if len(args) != 1:
             raise ParseError(f"{mnemonic} takes a {'mutex' if mutex else 'semaphore'} name",
                              lineno)
         if args[0] not in (mutexes if mutex else semaphores):
-            raise ParseError(f"undeclared sync object {_shown(args[0])}", lineno)
-        return Instruction(op, mutexes[args[0]] if mutex else semaphores[args[0]][0])
+            raise ParseError(f"undeclared sync object {shown(args[0])}", lineno)
+        obj = mutexes[args[0]] if mutex else semaphores[args[0]][0]
+        return _new_tuple(Instruction, (op, obj, 0))
     if op in THREAD_OPS:
         if len(args) != 1:
             raise ParseError(f"{mnemonic} takes a thread id", lineno)
         target = _parse_int(args[0], lineno, "thread id", 10)
         if target not in threads:
-            raise ParseError(f"undeclared thread {_shown(str(target), '')}", lineno)
-        return Instruction(op, target)
+            raise ParseError(f"undeclared thread {shown(str(target), '')}", lineno)
+        return _new_tuple(Instruction, (op, target, 0))
     if args:
         raise ParseError("EXIT takes no operands", lineno)
-    return Instruction(op)
+    return _new_tuple(Instruction, (op, 0, 0))
 
 
 def parse_program(text: str) -> Program:
@@ -247,9 +246,11 @@ def parse_program(text: str) -> Program:
     occurrence, since their checks depend on which thread holds them and
     on the CREATEs before them.
     """
-    mutex_names: list[str] = []
-    sem_decls: list[tuple[str, int]] = []
+    # Declared names in declaration order, which fixes their object ids.
+    mutex_names: dict[str, None] = {}
+    sem_decls: dict[str, int] = {}  # name -> initial count
     memory: dict[int, int] = {}
+    mem_lines: dict[int, int] = {}  # address -> line of its 'mem'
     lines = text.splitlines()
     # tid -> indices of its section's lines; the start is its header's line number
     bodies: dict[int, range] = {}
@@ -269,7 +270,7 @@ def parse_program(text: str) -> Program:
                 raise ParseError("expected 'thread <id>:'", lineno)
             tid = _parse_int(tokens[1][:-1], lineno, "thread id", 10)
             if tid in bodies:
-                raise ParseError(f"duplicate thread {_shown(str(tid), '')}", lineno)
+                raise ParseError(f"duplicate thread {shown(str(tid), '')}", lineno)
             if current_tid is not None:
                 bodies[current_tid] = range(bodies[current_tid].start, index)
             bodies[tid] = range(lineno, len(lines))
@@ -279,30 +280,34 @@ def parse_program(text: str) -> Program:
             if head == "mutex":
                 if len(tokens) != 2:
                     raise ParseError("expected 'mutex <name>'", lineno)
-                if tokens[1] in mutex_names or any(n == tokens[1] for n, _ in sem_decls):
-                    raise ParseError(f"duplicate sync object {_shown(tokens[1])}",
+                if tokens[1] in mutex_names or tokens[1] in sem_decls:
+                    raise ParseError(f"duplicate sync object {shown(tokens[1])}",
                                      lineno)
-                mutex_names.append(tokens[1])
+                mutex_names[tokens[1]] = None
             elif head == "sem":
                 if len(tokens) != 3:
                     raise ParseError("expected 'sem <name> <initial>'", lineno)
-                if tokens[1] in mutex_names or any(n == tokens[1] for n, _ in sem_decls):
-                    raise ParseError(f"duplicate sync object {_shown(tokens[1])}",
+                if tokens[1] in mutex_names or tokens[1] in sem_decls:
+                    raise ParseError(f"duplicate sync object {shown(tokens[1])}",
                                      lineno)
                 init = _parse_int(tokens[2], lineno, "semaphore count", 10)
                 if init < 0:
                     raise ParseError("semaphore count must be non-negative", lineno)
                 if init > WORD_MASK:
-                    raise ParseError(f"semaphore count {_shown(str(init), '')} "
+                    raise ParseError(f"semaphore count {shown(str(init), '')} "
                                      "outside 32-bit range", lineno)
-                sem_decls.append((tokens[1], init))
+                sem_decls[tokens[1]] = init
             elif head == "mem":
                 if len(tokens) != 3:
                     raise ParseError("expected 'mem <hex-addr> <value>'", lineno)
                 addr = _parse_address(tokens[1], lineno)
+                if addr in mem_lines:
+                    raise ParseError(f"duplicate mem address 0x{addr:08X} "
+                                     f"(first at line {mem_lines[addr]})", lineno)
+                mem_lines[addr] = lineno
                 memory[addr] = _parse_int(tokens[2], lineno, "value") & WORD_MASK
             else:
-                raise ParseError(f"unknown directive {_shown(head)}", lineno)
+                raise ParseError(f"unknown directive {shown(head)}", lineno)
         # Otherwise a body line such as 'threadx', rejected below.
 
     if MAIN_THREAD not in bodies:
@@ -323,7 +328,7 @@ def parse_program(text: str) -> Program:
         return obj_ids[name]
 
     mutexes = {n: new_obj(f"mutex:{n}") for n in mutex_names}
-    semaphores = {n: (new_obj(f"sem:{n}"), init) for n, init in sem_decls}
+    semaphores = {n: (new_obj(f"sem:{n}"), init) for n, init in sem_decls.items()}
 
     create_targets: dict[int, int] = {}  # tid -> line of its CREATE
     join_targets: set[int] = set()
@@ -351,7 +356,7 @@ def parse_program(text: str) -> Program:
                     lineno = index + 1
                     ins = _parse_instruction(line, lineno, mutexes, semaphores, bodies)
                     op, target, _ = ins
-                    if op is Op.CREATE:
+                    if op is _CREATE:
                         if target == MAIN_THREAD:
                             raise ParseError("thread 0 cannot be created", lineno)
                         if target == tid:
@@ -361,7 +366,7 @@ def parse_program(text: str) -> Program:
                                 f"thread {target} created more than once "
                                 f"(first at line {create_targets[target]})", lineno)
                         create_targets[target] = lineno
-                    elif op is Op.JOIN:
+                    elif op is _JOIN:
                         join_targets.add(target)
                     else:
                         cache[line] = ins

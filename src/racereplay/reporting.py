@@ -10,7 +10,7 @@ from __future__ import annotations
 from operator import ge
 
 from .detector import RaceReport, RaceSide
-from .errors import MismatchError, ParseError
+from .errors import MismatchError, ParseError, shown
 from .identify import InstructionSite
 from .program import Op, Program
 
@@ -38,22 +38,31 @@ def report_record_lines(report: RaceReport) -> list:
     return lines
 
 
+def _int(tok: str, base: int = 10) -> int:
+    """``int(tok, base)``, whose ValueError quotes the token as ``shown``
+    does, not as ``int`` does (up to 200 characters)."""
+    try:
+        return int(tok, base)
+    except ValueError:
+        raise ValueError(f"bad number {shown(tok)}") from None
+
+
 def _parse_side(value: str) -> RaceSide:
     fields = {}
     head = value.split()
-    tid = int(head[0])
+    tid = _int(head[0])
     for item in head[1:]:
         key, _, val = item.partition("=")
         fields[key] = val
     if "clock" not in fields:
-        raise ValueError(f"side {value!r} has no clock=")
-    side = RaceSide(tid=tid, segment=int(fields["seg"]),
-                    clock=tuple(int(c) for c in fields["clock"].split(",")),
+        raise ValueError(f"side {shown(value)} has no clock=")
+    side = RaceSide(tid=tid, segment=_int(fields["seg"]),
+                    clock=tuple(_int(c) for c in fields["clock"].split(",")),
                     kind=fields["kind"])
     if side.tid < 0 or side.segment < 0:
-        raise ValueError(f"negative thread or segment in {value!r}")
+        raise ValueError(f"negative thread or segment in {shown(value)}")
     if side.kind not in ("load", "store"):
-        raise ValueError(f"access kind {side.kind!r} is neither load nor store")
+        raise ValueError(f"access kind {shown(side.kind)} is neither load nor store")
     return side
 
 
@@ -61,15 +70,16 @@ def _parse_site(value: str, side: RaceSide, witness: int) -> InstructionSite:
     """A site as identify writes it: an access of its side's thread and
     kind, at the report's witness."""
     where, kind = value.split()
-    tid, ordinal = map(int, where.split(":"))
+    tid, ordinal = map(_int, where.split(":"))
     if kind not in ("load", "store"):
-        raise ValueError(f"access kind {kind!r} is neither load nor store")
+        raise ValueError(f"access kind {shown(kind)} is neither load nor store")
     if kind != side.kind:
-        raise ValueError(f"site {value!r} is not a {side.kind} like its side")
+        raise ValueError(f"site {shown(value)} is not a {side.kind} like its side")
     if tid != side.tid:
-        raise ValueError(f"site {value!r} is not on thread {side.tid}")
+        raise ValueError(f"site {shown(value)} is not on thread "
+                         f"{shown(str(side.tid), '')}")
     if ordinal < 0:
-        raise ValueError(f"negative ordinal in site {value!r}")
+        raise ValueError(f"negative ordinal in site {shown(value)}")
     return InstructionSite(tid, ordinal, kind, witness)
 
 
@@ -81,21 +91,21 @@ def parse_report_record(text: str) -> RaceReport:
             continue
         key, sep, value = line.partition("=")
         if not sep:
-            raise ParseError(f"bad report line: {line!r}")
+            raise ParseError(f"bad report line: {shown(line)}")
         fields[key] = value
     try:
-        witnesses = tuple(int(w, 16) for w in fields["witnesses"].split(","))
+        witnesses = tuple(_int(w, 16) for w in fields["witnesses"].split(","))
         side1 = _parse_side(fields["t1"])
         side2 = _parse_side(fields["t2"])
         if side1.tid == side2.tid:
-            raise ValueError(f"both sides on thread {side1.tid}")
+            raise ValueError(f"both sides on thread {shown(str(side1.tid), '')}")
         if side1.kind == side2.kind == "load":
             raise ValueError("both sides load; a race needs a store")
         if any(map(ge, witnesses, witnesses[1:])):
             raise ValueError("witnesses not strictly ascending")
-        if "witness" in fields and int(fields["witness"], 16) != witnesses[0]:
-            raise ValueError(f"witness={fields['witness']} is not the first "
-                             f"of witnesses=")
+        if "witness" in fields and _int(fields["witness"], 16) != witnesses[0]:
+            raise ValueError(f"witness={shown(fields['witness'], '')} is not "
+                             f"the first of witnesses=")
         if ("i1" in fields) != ("i2" in fields):
             raise ValueError("one of i1 and i2 without the other")
         instructions = None

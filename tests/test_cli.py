@@ -233,6 +233,36 @@ def test_report_side_without_a_clock_is_refused(racy, tmp_path, capsys):
     assert "has no clock=" in capsys.readouterr().err
 
 
+HUGE_BASE_REPORT = ("witnesses=0x00001000\n"
+                    "t1=1 seg=0 kind=store clock=1,2,0\n"
+                    "t2=2 seg=0 kind=store clock=1,0,2\n")
+
+
+@pytest.mark.parametrize("find, replace, message", [
+    ("witnesses=0x00001000\n", "x" * 100_000 + "\n",
+     "bad report line: 'xxxxx"),
+    (" clock=1,2,0", " a" * 50_000, "has no clock="),
+    ("0x00001000", "0x" + "g" * 100_000, "bad number '0xggggg"),
+    ("clock=1,2,0", "clock=1,2," + "7" * 9_000, "bad number '77777"),
+    ("kind=store clock=1,2,0", "kind=" + "w" * 100_000 + " clock=1,2,0",
+     "is neither load nor store"),
+    ("t1=1 ", "t1=" + "9" * 4_000 + " ", "does not fit a program of 3 threads"),
+], ids=["line", "side", "witness", "clock", "kind", "thread"])
+def test_huge_report_token_gives_a_short_error(racy, tmp_path, capsys, find,
+                                               replace, message):
+    # As for programs, a message quotes a token's head and its length.
+    trace = str(tmp_path / "h.trace")
+    report = tmp_path / "h.report"
+    assert main(["record", racy, "--seed", "8", "-o", trace]) == 0
+    assert find in HUGE_BASE_REPORT
+    report.write_text(HUGE_BASE_REPORT.replace(find, replace))
+    capsys.readouterr()
+    assert main(["identify", racy, "--trace", trace, "--report", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "characters)" in err
+    assert all(len(text.encode()) < 200 for text in err.splitlines()), len(err)
+
+
 def test_parsed_report_prints_as_the_original():
     program = parse_program(workloads.shared_counter())
     trace = record_execution(program, 3).trace

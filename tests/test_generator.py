@@ -1,5 +1,8 @@
 """Random workload generation."""
 
+import hashlib
+import itertools
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +28,18 @@ def test_rng_draws_the_chained_reference_across_blocks(seed):
     for _ in range(4 * _BLOCK + 1):  # past four block boundaries
         state, value = splitmix64(state)
         assert rng.u64() == value
+
+
+def test_generated_texts_pinned_byte_for_byte():
+    # Any change to the draws or their order changes some text of this grid.
+    digest = hashlib.sha256()
+    for n, (threads, ops, density, shared) in enumerate(itertools.product(
+            range(1, 7), range(4, 61, 8), (0.0, 0.25, 0.5, 1.0), range(1, 9))):
+        digest.update(generate_program(n, threads=threads, ops_per_thread=ops,
+                                       lock_density=density,
+                                       shared_addresses=shared).encode())
+    assert digest.hexdigest() == (
+        "4fb607659bc386540131b5fbb8307137d8f2ac7301f64f52eecb25bf457dfd16")
 
 
 def test_generated_programs_parse_and_run():
